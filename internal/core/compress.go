@@ -13,6 +13,7 @@ import (
 	"cliz/internal/mask"
 	"cliz/internal/predict"
 	"cliz/internal/quant"
+	"cliz/internal/symhist"
 	"cliz/internal/trace"
 )
 
@@ -509,29 +510,31 @@ func binStats(bins []int32, literals []float32, tvalid []bool, c trace.Collector
 	if c == nil {
 		return nil
 	}
-	hist := map[int32]int{}
-	n := 0
+	symsp := symsPool.Get().(*[]uint32)
+	syms := (*symsp)[:0]
 	for i, b := range bins {
 		if tvalid != nil && !tvalid[i] {
 			continue
 		}
-		hist[b]++
-		n++
+		syms = append(syms, uint32(b))
 	}
+	h := symhist.Count(syms)
+	h.Release() // only the frequencies are read
+	n := len(syms)
+	*symsp = syms[:0]
+	symsPool.Put(symsp)
 	if n == 0 {
 		return []trace.KV{{Key: "literals", Value: float64(len(literals))}}
 	}
-	top := 0
+	top := uint64(0)
 	entropyBits := 0.0
-	for _, cnt := range hist {
-		if cnt > top {
-			top = cnt
-		}
+	for _, cnt := range h.Freqs {
+		top = max(top, cnt)
 		pr := float64(cnt) / float64(n)
 		entropyBits -= pr * math.Log2(pr)
 	}
 	return []trace.KV{
-		{Key: "distinct_bins", Value: float64(len(hist))},
+		{Key: "distinct_bins", Value: float64(len(h.Freqs))},
 		{Key: "entropy_bits", Value: entropyBits},
 		{Key: "top1_share", Value: float64(top) / float64(n)},
 		{Key: "literals", Value: float64(len(literals))},

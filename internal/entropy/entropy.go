@@ -85,7 +85,7 @@ func EncodeBlock(kind Kind, symbols []uint32) []byte {
 			return append([]byte{byte(RANSInterleaved)}, body...)
 		}
 	}
-	return append([]byte{byte(Huffman)}, huffman.EncodeBlock(symbols)...)
+	return huffman.AppendBlock([]byte{byte(Huffman)}, symbols)
 }
 
 // DecodeBlock reverses EncodeBlock (and decodes sharded blocks serially; use
@@ -179,7 +179,8 @@ func EncodeBlockSharded(kind Kind, symbols []uint32, shards int) []byte {
 	}
 	// Shared-table Huffman: one codec over the full stream, per-shard
 	// byte-aligned bitstreams.
-	c := huffman.Build(huffman.CountFreqs(symbols))
+	c := huffman.Build(symbols)
+	defer c.Release()
 	streams := make([][]byte, n)
 	par.Run(n, n, func(i int) {
 		w := writerPool.Get().(*bitio.Writer)

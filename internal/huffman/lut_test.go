@@ -44,7 +44,7 @@ func randCodec(rng *rand.Rand, alphabet int, skew float64) (*Codec, []uint32) {
 			pool = append(pool, s)
 		}
 	}
-	return Build(freqs), pool
+	return codecFromFreqs(freqs), pool
 }
 
 func TestDecodeIntoMatchesTreeDecode(t *testing.T) {
@@ -128,7 +128,7 @@ func TestDecodeIntoLongCodesPastLUT(t *testing.T) {
 			f *= 2
 		}
 	}
-	c := Build(freqs)
+	c := codecFromFreqs(freqs)
 	if c.maxLen <= lutBits {
 		t.Fatalf("fixture too shallow: maxLen=%d, want > %d", c.maxLen, lutBits)
 	}
@@ -241,7 +241,7 @@ func benchStream(b *testing.B) (*Codec, []uint32, []byte) {
 		}
 		syms[i] = v
 	}
-	c := Build(CountFreqs(syms))
+	c := Build(syms)
 	w := bitio.NewWriter(0)
 	if err := c.Encode(syms, w); err != nil {
 		b.Fatal(err)

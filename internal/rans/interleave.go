@@ -45,14 +45,12 @@ func EncodeInterleavedBlock(symbols []uint32, ways int) ([]byte, bool) {
 		out = appendUvarint(out, 0)
 		return out, true
 	}
-	counts := make(map[uint32]uint64)
-	for _, s := range symbols {
-		counts[s]++
-	}
-	t, ok := buildTable(counts)
+	t, h, ok := countTable(symbols)
 	if !ok {
 		return nil, false
 	}
+	defer h.Release()
+	lo, tab := h.Dense()
 	out := t.serialize(nil)
 	out = appendUvarint(out, uint64(len(symbols)))
 	out = append(out, byte(ways))
@@ -66,7 +64,12 @@ func EncodeInterleavedBlock(symbols []uint32, ways int) ([]byte, bool) {
 	w := (len(symbols) - 1) % ways
 	for i := len(symbols) - 1; i >= 0; i-- {
 		x := states[w]
-		idx := t.index[symbols[i]]
+		var idx uint64
+		if j := symbols[i] - lo; uint(j) < uint(len(tab)) {
+			idx = tab[j] - 1
+		} else {
+			idx = h.Get(symbols[i]) - 1
+		}
 		f := t.freq[idx]
 		xmax := ((ransL >> scaleBits) << 8) * f
 		for x >= xmax {

@@ -3,6 +3,7 @@ package rans
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -127,7 +128,16 @@ func TestFrequencyScalingInvariant(t *testing.T) {
 		for i := 0; i < n; i++ {
 			counts[uint32(rng.Intn(2000))] = uint64(rng.Intn(100000) + 1)
 		}
-		tbl, ok := buildTable(counts)
+		syms := make([]uint32, 0, len(counts))
+		for s := range counts {
+			syms = append(syms, s)
+		}
+		slices.Sort(syms)
+		freqs := make([]uint64, len(syms))
+		for i, s := range syms {
+			freqs[i] = counts[s]
+		}
+		tbl, ok := buildTable(syms, freqs)
 		if !ok {
 			t.Fatal("refused")
 		}
