@@ -30,6 +30,12 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
+// AppendWriter returns a Writer that appends its bits to buf, so a caller
+// that reserved capacity for a known bit count gets them without a copy.
+func AppendWriter(buf []byte) *Writer {
+	return &Writer{buf: buf}
+}
+
 // WriteBit appends a single bit (any nonzero b means 1).
 func (w *Writer) WriteBit(b uint) {
 	if b != 0 {

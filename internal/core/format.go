@@ -186,7 +186,7 @@ func readSection(src []byte, pos *int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(*pos)+l > uint64(len(src)) {
+	if l > uint64(len(src)-*pos) {
 		return nil, ErrCorrupt
 	}
 	out := src[*pos : *pos+int(l)]

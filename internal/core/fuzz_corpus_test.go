@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -12,6 +13,8 @@ import (
 
 	"cliz/internal/dataset"
 	"cliz/internal/entropy"
+	"cliz/internal/huffman"
+	"cliz/internal/lossless"
 	"cliz/internal/mask"
 )
 
@@ -131,7 +134,38 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	iflip[len(iflip)*2/3] ^= 0x37 // inside the interleaved stream
 	seeds["rans-interleaved-flip"] = iflip
 	seeds["rans-interleaved-sharded"] = interleavedRANSBlob(t, 2)
+	// A well-formed v3 blob (Raw lossless bins section, recomputed CRCs)
+	// whose Huffman block declares a bitstream length past 2^63: it passes
+	// every container check and reaches the Huffman decoder's length check.
+	seeds["huffman-blen-overflow"] = huffmanLengthOverflowBlob(t, plain)
 	return seeds
+}
+
+// huffmanLengthOverflowBlob rebuilds the unmasked, unclassified v3 blob
+// plain with its bins section replaced by a Raw-wrapped Huffman block of one
+// symbol whose bitstream length is 2^63+1.
+func huffmanLengthOverflowBlob(t testing.TB, plain []byte) []byte {
+	pos := 0
+	h, err := parseHeader(plain, &pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := sectionReader{h: &h}
+	if _, err := sr.next(plain, &pos, secBins); err != nil {
+		t.Fatal(err)
+	}
+	lits, err := sr.next(plain, &pos, secLiterals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := huffman.Build([]uint32{uint32(h.radius)}).SerializeTable([]byte{byte(entropy.Huffman)})
+	block = appendUvarint(block, 1)
+	block = appendUvarint(block, 1<<63+1)
+	block = append(block, 0x80)
+	w := blobWriter{h: h}
+	w.add(secBins, lossless.Encode(lossless.Raw{}, block))
+	w.add(secLiterals, lits)
+	return w.bytes()
 }
 
 // interleavedRANSBlob builds a unit blob whose bins section is coded with
@@ -264,6 +298,11 @@ func TestFuzzCorpus(t *testing.T) {
 			}
 		}
 		t.Logf("wrote %d seeds", len(seeds))
+	}
+	// The Huffman length-overflow seed must get through the container and
+	// be rejected by the Huffman block decoder itself.
+	if _, _, err := Decompress(seeds["huffman-blen-overflow"]); !errors.Is(err, huffman.ErrCorrupt) {
+		t.Fatalf("huffman length-overflow seed: want huffman.ErrCorrupt, got %v", err)
 	}
 	// The crafted overflow header must be rejected at parse time, not
 	// merely die downstream.

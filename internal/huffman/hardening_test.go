@@ -35,3 +35,23 @@ func TestDecodeBlockMaxBudget(t *testing.T) {
 		t.Fatalf("over-budget block: want ErrCorrupt, got %v", err)
 	}
 }
+
+// TestDecodeBlockHugeBitstreamLength splices bitstream lengths near 2^63
+// and 2^64 into a valid block. Converted to int before the bounds check,
+// they used to wrap negative: with one symbol the decoder sliced out of
+// range and panicked, with zero symbols it returned a negative consumed
+// count and no error.
+func TestDecodeBlockHugeBitstreamLength(t *testing.T) {
+	for _, n := range []uint64{0, 1} {
+		for _, blen := range []uint64{1<<63 + 1, 1 << 63, 1<<64 - 1, 1<<64 - 8} {
+			blob := Build([]uint32{5}).SerializeTable(nil)
+			blob = appendUvarint(blob, n)
+			blob = appendUvarint(blob, blen)
+			blob = append(blob, 0xff)
+			got, used, err := DecodeBlockMax(blob, -1)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("n=%d blen=%d: want ErrCorrupt, got %v (%d symbols, %d bytes)", n, blen, err, len(got), used)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package rans
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -51,5 +52,32 @@ func TestDecodeBlockHugeDeclaredCount(t *testing.T) {
 	_, _, err := DecodeBlock(hostile)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge declared count: want ErrCorrupt, got %v", err)
+	}
+}
+
+// TestDecodeBlockHugeStreamLength splices stream lengths near 2^64 into a
+// valid block: pos+slen used to wrap in uint64 and pass the bounds check.
+func TestDecodeBlockHugeStreamLength(t *testing.T) {
+	blob, ok := EncodeBlock([]uint32{3, 3, 8, 3})
+	if !ok {
+		t.Fatal("EncodeBlock failed")
+	}
+	pos := 0
+	if _, err := parseTable(blob, &pos); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readUvarint(blob, &pos); err != nil {
+		t.Fatal(err)
+	}
+	tail := pos
+	if _, err := readUvarint(blob, &tail); err != nil {
+		t.Fatal(err)
+	}
+	for _, slen := range []uint64{math.MaxUint64, math.MaxUint64 - uint64(pos) + 1, 1 << 63} {
+		hostile := appendUvarint(append([]byte(nil), blob[:pos]...), slen)
+		hostile = append(hostile, blob[tail:]...)
+		if _, _, err := DecodeBlock(hostile); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("slen=%d: want ErrCorrupt, got %v", slen, err)
+		}
 	}
 }

@@ -530,7 +530,7 @@ func (Compressor) Decompress(blob []byte) ([]float32, []int, error) {
 		return nil, nil, ErrCorrupt
 	}
 	pos += n
-	if uint64(pos)+blen > uint64(len(blob)) {
+	if blen > uint64(len(blob)-pos) {
 		return nil, nil, ErrCorrupt
 	}
 	r := bitio.NewReader(blob[pos : pos+int(blen)])
