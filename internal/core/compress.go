@@ -25,8 +25,11 @@ type Options struct {
 	// Lambda is the classification threshold; 0 selects the Theorem 2
 	// optimum 0.4.
 	Lambda float64
-	// Backend is the lossless stage ("Zstd" in the paper); nil selects
-	// flate level 6.
+	// Backend is the lossless stage ("Zstd" in the paper). Nil, the
+	// default, chooses per section (lossless.Encode): raw when the
+	// entropy-coded payload's byte entropy is at least 7.9 bits/byte, where
+	// Flate cannot pay for itself, flate level 6 otherwise. A non-nil codec
+	// codes every bins and literals section.
 	Backend lossless.Codec
 	// Entropy selects the symbol coder for quantization bins: Huffman
 	// (paper default), rANS, or interleaved rANS (same size class as rANS,
@@ -73,13 +76,6 @@ func (o Options) workers() int {
 		return 1
 	}
 	return o.Workers
-}
-
-func (o Options) backend() lossless.Codec {
-	if o.Backend == nil {
-		return lossless.Flate{Level: 6}
-	}
-	return o.Backend
 }
 
 // validity abstracts over the two mask representations: the horizontal
@@ -438,7 +434,7 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		w.add(secMask, ms)
 		sp.EndBytes(int64(len(v.pts)), int64(len(ms)))
 	}
-	be := opt.backend()
+	be := opt.Backend
 	if p.Classify {
 		sp = trace.Begin(opt.Trace, "classify")
 		nLat, nLon := latLon(dims)

@@ -5,12 +5,18 @@ import (
 	"strings"
 
 	"cliz/internal/grid"
+	"cliz/internal/lossless"
 )
 
 // SectionInfo describes one section of a blob.
 type SectionInfo struct {
 	Name  string
 	Bytes int
+	// Backend names the lossless backend ("raw", "flate", "lzss") of a
+	// section that is one lossless stream, read from its id byte; "?" for
+	// an unknown id, and empty for sections that are not lossless streams
+	// (header, nested blobs, a mask map's own framing).
+	Backend string
 }
 
 // BlobInfo is the parsed structure of a CliZ blob, for inspection tools.
@@ -74,7 +80,7 @@ func inspectAt(blob []byte, pos *int) (*BlobInfo, error) {
 		IntegrityBytes: h.integrityBytes,
 		PSections:      h.psections,
 	}
-	info.Sections = append(info.Sections, SectionInfo{"header", *pos - start})
+	info.Sections = append(info.Sections, SectionInfo{Name: "header", Bytes: *pos - start})
 	if h.flags&flagPeriodic != 0 {
 		info.Kind = "periodic"
 		for _, name := range []string{"template", "residual"} {
@@ -89,7 +95,7 @@ func inspectAt(blob []byte, pos *int) (*BlobInfo, error) {
 			}
 			child.Kind = name
 			info.Children = append(info.Children, child)
-			info.Sections = append(info.Sections, SectionInfo{name, len(sec)})
+			info.Sections = append(info.Sections, SectionInfo{Name: name, Bytes: len(sec)})
 		}
 		info.Total = *pos - start
 		return info, nil
@@ -110,10 +116,28 @@ func inspectAt(blob []byte, pos *int) (*BlobInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		info.Sections = append(info.Sections, SectionInfo{name, len(sec)})
+		si := SectionInfo{Name: name, Bytes: len(sec)}
+		// A mask map starts with its own dims header; a point mask is one
+		// lossless stream, as are class-meta, bins and literals.
+		if name != "mask" || h.flags&flagPointMask != 0 {
+			si.Backend = losslessBackend(sec)
+		}
+		info.Sections = append(info.Sections, si)
 	}
 	info.Total = *pos - start
 	return info, nil
+}
+
+// losslessBackend names the backend of a lossless stream from its id byte.
+func losslessBackend(sec []byte) string {
+	if len(sec) == 0 {
+		return "?"
+	}
+	c, err := lossless.ByID(sec[0])
+	if err != nil {
+		return "?"
+	}
+	return c.Name()
 }
 
 func inspectChunked(blob []byte) (*BlobInfo, error) {
@@ -192,6 +216,9 @@ func (b *BlobInfo) Render(indent string, w *strings.Builder) {
 		fmt.Fprintf(w, "%s  %-10s %8d bytes", indent, s.Name, s.Bytes)
 		if b.Total > 0 {
 			fmt.Fprintf(w, " %5.1f%%", 100*float64(s.Bytes)/float64(b.Total))
+		}
+		if s.Backend != "" {
+			fmt.Fprintf(w, "  %s", s.Backend)
 		}
 		w.WriteByte('\n')
 	}

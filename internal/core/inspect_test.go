@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"cliz/internal/lossless"
 )
 
 func TestInspectUnit(t *testing.T) {
@@ -37,6 +39,39 @@ func TestInspectUnit(t *testing.T) {
 	}
 	if !strings.Contains(info.String(), "bins-A") {
 		t.Fatal("render missing sections")
+	}
+}
+
+// TestInspectBackends checks that Inspect reads each lossless stream's
+// backend from its id byte: bins and literals follow Options.Backend,
+// class-meta is always flate, and the header is not a lossless stream.
+func TestInspectBackends(t *testing.T) {
+	ds := smallHurricane()
+	p := Default(ds)
+	p.Classify = true
+	for _, be := range []lossless.Codec{lossless.Raw{}, lossless.Flate{Level: 6}, lossless.LZSS{}} {
+		t.Run(be.Name(), func(t *testing.T) {
+			blob, err := Compress(ds, ds.AbsErrorBound(1e-2), p, Options{Backend: be})
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := Inspect(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]string{
+				"header": "", "class-meta": "flate",
+				"bins-A": be.Name(), "bins-B": be.Name(), "literals": be.Name(),
+			}
+			for _, s := range info.Sections {
+				if s.Backend != want[s.Name] {
+					t.Errorf("%s: backend %q, want %q", s.Name, s.Backend, want[s.Name])
+				}
+			}
+			if !strings.Contains(info.String(), "literals") || !strings.Contains(info.String(), "  "+be.Name()) {
+				t.Errorf("render lacks the %s backend:\n%s", be.Name(), info)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,10 @@
 package lossless
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
 
 // FuzzDecode drives all lossless decoders with arbitrary streams.
 func FuzzDecode(f *testing.F) {
@@ -36,6 +40,34 @@ func FuzzLZSSRoundTrip(f *testing.F) {
 			if got[i] != src[i] {
 				t.Fatalf("byte %d differs", i)
 			}
+		}
+	})
+}
+
+// FuzzEncode round-trips arbitrary payloads through the default (nil
+// codec) path and checks it picked the backend the entropy rule names.
+func FuzzEncode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaabbbbcc"))
+	random := make([]byte, 4096)
+	rand.New(rand.NewSource(5)).Read(random)
+	f.Add(random)
+
+	f.Fuzz(func(t *testing.T, src []byte) {
+		blob := Encode(nil, src)
+		want := IDFlate
+		if byteEntropy(src) >= rawEntropy {
+			want = IDRaw
+		}
+		if blob[0] != want {
+			t.Fatalf("backend id %d, want %d", blob[0], want)
+		}
+		got, err := Decode(blob)
+		if err != nil {
+			t.Fatalf("own output rejected: %v", err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatalf("round trip mismatch (%d vs %d bytes)", len(got), len(src))
 		}
 	})
 }

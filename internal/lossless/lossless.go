@@ -3,6 +3,8 @@
 // this package offers a from-scratch LZSS coder and a DEFLATE backend
 // (compress/flate), selectable per pipeline, plus a raw pass-through.
 // Streams are self-describing: the first byte identifies the backend.
+// Encode with a nil codec chooses raw or flate per stream from the
+// payload's byte entropy.
 package lossless
 
 import (
@@ -12,6 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"sync"
 )
 
 // Backend identifiers (first byte of every stream).
@@ -24,7 +29,9 @@ const (
 // ErrCorrupt is returned for malformed streams.
 var ErrCorrupt = errors.New("lossless: corrupt stream")
 
-// Codec compresses and decompresses byte blobs.
+// Codec compresses and decompresses byte blobs. Decompress may return a
+// subslice of its input (Raw does), so callers treat the result as
+// read-only.
 type Codec interface {
 	Name() string
 	ID() byte
@@ -38,22 +45,77 @@ func ByID(id byte) (Codec, error) {
 	case IDRaw:
 		return Raw{}, nil
 	case IDFlate:
-		return Flate{Level: flate.DefaultCompression}, nil
+		return Flate{Level: 6}, nil
 	case IDLZSS:
 		return LZSS{}, nil
 	}
 	return nil, fmt.Errorf("lossless: unknown backend id %d: %w", id, ErrCorrupt)
 }
 
-// Encode compresses src with c and prepends the backend id.
+// rawEntropy is the order-0 byte entropy, in bits per byte, at or above
+// which Encode(nil, src) stores src raw. At 7.9 bits/B Flate's Huffman
+// stage can save at most (8-7.9)/8 ≈ 1.3%, and entropy-coded payloads that
+// dense leave its LZ77 stage nothing to match, so the pass costs time and
+// buys nothing. Inputs shorter than 2^7.9 ≈ 239 bytes never reach it: the
+// plug-in entropy of n bytes is at most log2 n.
+const rawEntropy = 7.9
+
+// Encode compresses src with c and prepends the backend id. A nil c chooses
+// per call from src's byte histogram: Raw when its order-0 entropy is at
+// least rawEntropy, Flate level 6 otherwise.
 func Encode(c Codec, src []byte) []byte {
+	if c == nil {
+		c = Flate{Level: 6}
+		if byteEntropy(src) >= rawEntropy {
+			c = Raw{}
+		}
+	}
+	switch c := c.(type) {
+	case Raw:
+		out := make([]byte, 0, 1+len(src))
+		out = append(out, IDRaw)
+		return append(out, src...)
+	case Flate:
+		return c.frame(src, true)
+	}
 	body := c.Compress(src)
 	out := make([]byte, 0, len(body)+1)
 	out = append(out, c.ID())
 	return append(out, body...)
 }
 
-// Decode inspects the id byte and decompresses accordingly.
+// byteEntropy returns the order-0 (plug-in) entropy of src in bits per
+// byte, 0 when src is empty.
+func byteEntropy(src []byte) float64 {
+	if len(src) == 0 {
+		return 0
+	}
+	// Four interleaved counter sets: with one, a long run of a single byte
+	// value would serialise every increment on one slot's load-store chain.
+	var cnt [4][256]uint64
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		cnt[0][src[i]]++
+		cnt[1][src[i+1]]++
+		cnt[2][src[i+2]]++
+		cnt[3][src[i+3]]++
+	}
+	for ; i < len(src); i++ {
+		cnt[0][src[i]]++
+	}
+	var sum float64
+	for b := range cnt[0] {
+		if k := cnt[0][b] + cnt[1][b] + cnt[2][b] + cnt[3][b]; k > 0 {
+			f := float64(k)
+			sum += f * math.Log2(f)
+		}
+	}
+	n := float64(len(src))
+	return math.Log2(n) - sum/n
+}
+
+// Decode inspects the id byte and decompresses accordingly. A raw stream
+// decodes to a subslice of src (see Raw.Decompress).
 func Decode(src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return nil, ErrCorrupt
@@ -75,10 +137,14 @@ func (Raw) Compress(src []byte) []byte {
 	copy(out, src)
 	return out
 }
+
+// Decompress returns src itself, not a copy: the result shares src's
+// memory. Every caller of Decode only reads the result and copies what it
+// keeps into fresh buffers: core's bins, literals and point mask, the
+// stream reader's delta sections, mask.Parse, classify.UnpackMeta, and the
+// qoz and sperr decoders. So no decoded output aliases a caller's blob.
 func (Raw) Decompress(src []byte) ([]byte, error) {
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
+	return src, nil
 }
 
 // Flate wraps compress/flate; it plays the role of the Zstd stage in the
@@ -91,21 +157,90 @@ func (Flate) Name() string { return "flate" }
 func (Flate) ID() byte     { return IDFlate }
 
 func (f Flate) Compress(src []byte) []byte {
-	var buf bytes.Buffer
+	return f.frame(src, false)
+}
+
+// level maps f.Level onto the compress/flate level it has always selected:
+// 0 and out-of-range values fall back to DefaultCompression, which
+// compress/flate runs as level 6.
+func (f Flate) level() int {
+	if f.Level == 0 || f.Level == flate.DefaultCompression ||
+		f.Level < flate.HuffmanOnly || f.Level > flate.BestCompression {
+		return 6
+	}
+	return f.Level
+}
+
+// flateEncoder is the reusable state of one Flate encode: the
+// flate.Writer, about 800 KB of match-finder tables, and the buffer it
+// writes into.
+type flateEncoder struct {
+	w   *flate.Writer
+	buf bytes.Buffer
+}
+
+// flateEncoders holds one pool per compress/flate level, indexed by
+// level-flate.HuffmanOnly.
+var flateEncoders [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+
+// frame returns the optional id byte, the 8-byte little-endian length of
+// src and src's deflate stream, in one exactly sized slice. A pooled
+// flate.Writer is Reset rather than rebuilt; Reset output is byte-identical
+// to a new writer's.
+func (f Flate) frame(src []byte, withID bool) []byte {
+	lvl := f.level()
+	pool := &flateEncoders[lvl-flate.HuffmanOnly]
+	e, _ := pool.Get().(*flateEncoder)
+	if e == nil {
+		e = new(flateEncoder)
+		// lvl is a valid level, so NewWriter cannot fail.
+		e.w, _ = flate.NewWriter(&e.buf, lvl)
+	} else {
+		e.w.Reset(&e.buf)
+	}
+	e.buf.Reset()
+	if withID {
+		e.buf.WriteByte(IDFlate)
+	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], uint64(len(src)))
-	buf.Write(hdr[:])
-	lvl := f.Level
-	if lvl == 0 {
-		lvl = flate.DefaultCompression
+	e.buf.Write(hdr[:])
+	// Writes into a bytes.Buffer cannot fail.
+	_, _ = e.w.Write(src)
+	_ = e.w.Close()
+	out := bytes.Clone(e.buf.Bytes())
+	pool.Put(e)
+	return out
+}
+
+// flateDecoder is the reusable state of one Flate decode; r is a
+// compress/flate reader and implements flate.Resetter.
+type flateDecoder struct {
+	src bytes.Reader
+	r   io.ReadCloser
+}
+
+var flateDecoders sync.Pool
+
+// newFlateDecoder returns a pooled decoder reading the deflate stream src.
+func newFlateDecoder(src []byte) *flateDecoder {
+	d, _ := flateDecoders.Get().(*flateDecoder)
+	if d == nil {
+		d = new(flateDecoder)
+		d.src.Reset(src)
+		d.r = flate.NewReader(&d.src)
+		return d
 	}
-	w, err := flate.NewWriter(&buf, lvl)
-	if err != nil {
-		w, _ = flate.NewWriter(&buf, flate.DefaultCompression)
-	}
-	_, _ = w.Write(src)
-	_ = w.Close()
-	return buf.Bytes()
+	d.src.Reset(src)
+	// compress/flate's Reset always returns nil.
+	_ = d.r.(flate.Resetter).Reset(&d.src, nil)
+	return d
+}
+
+// release returns d to the pool without pinning the caller's blob.
+func (d *flateDecoder) release() {
+	d.src.Reset(nil)
+	flateDecoders.Put(d)
 }
 
 func (Flate) Decompress(src []byte) ([]byte, error) {
@@ -117,8 +252,8 @@ func (Flate) Decompress(src []byte) ([]byte, error) {
 	if n > maxSize {
 		return nil, ErrCorrupt
 	}
-	r := flate.NewReader(bytes.NewReader(src[8:]))
-	defer r.Close()
+	d := newFlateDecoder(src[8:])
+	defer d.release()
 	// Grow the output as data actually arrives instead of trusting the
 	// declared size up front: a corrupt length prefix would otherwise zero
 	// gigabytes before the stream errors out.
@@ -127,14 +262,22 @@ func (Flate) Decompress(src []byte) ([]byte, error) {
 		cap0 = 1 << 20
 	}
 	out := make([]byte, 0, cap0)
-	var chunk [32 << 10]byte
+	// Read straight into out: a local chunk buffer passed to the reader's
+	// Read escapes to the heap, 32 KB per call.
 	for uint64(len(out)) < n {
-		want := n - uint64(len(out))
-		if want > uint64(len(chunk)) {
-			want = uint64(len(chunk))
+		if len(out) == cap(out) {
+			more := n - uint64(len(out))
+			if more > uint64(len(out)) {
+				more = uint64(len(out))
+			}
+			out = slices.Grow(out, int(more))
 		}
-		m, err := r.Read(chunk[:want])
-		out = append(out, chunk[:m]...)
+		end := uint64(cap(out))
+		if end > n {
+			end = n
+		}
+		m, err := d.r.Read(out[len(out):end])
+		out = out[:len(out)+m]
 		if uint64(len(out)) == n {
 			break
 		}
@@ -264,7 +407,9 @@ func (LZSS) Decompress(src []byte) ([]byte, error) {
 	if n < 0 || uint64(n) > maxSize {
 		return nil, ErrCorrupt
 	}
-	out := make([]byte, 0, n)
+	// As in Flate.Decompress, grow the output as tokens arrive rather than
+	// trusting a declared size that may be corrupt.
+	out := make([]byte, 0, min(n, 1<<20))
 	p := 8
 	for len(out) < n {
 		if p >= len(src) {

@@ -21,7 +21,12 @@ func TestRoundTripAllBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := make([]byte, 4096)
 	rng.Read(random)
-	payloads = append(payloads, random)
+	// Past the decoders' 1 MiB initial capacity, so their output grows.
+	large := make([]byte, 1<<20+4099)
+	for i := range large {
+		large[i] = byte(rng.Intn(6))
+	}
+	payloads = append(payloads, random, large)
 
 	for _, c := range codecs {
 		for i, p := range payloads {

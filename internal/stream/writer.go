@@ -342,16 +342,12 @@ func (w *Writer) encodeDelta(frame []float32) ([]byte, []float32, int, error) {
 		syms = append(syms, uint32(bin))
 		recon[i] = float32(rv)
 	}
-	be := w.cfg.Opts.Backend
-	if be == nil {
-		be = lossless.Flate{Level: 6}
-	}
 	workers := w.cfg.Opts.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	binsSec := lossless.Encode(be, entropy.EncodeBlockSharded(w.cfg.Opts.Entropy, syms, workers))
-	litSec := lossless.Encode(be, float32sToBytes(lits))
+	binsSec := lossless.Encode(w.cfg.Opts.Backend, entropy.EncodeBlockSharded(w.cfg.Opts.Entropy, syms, workers))
+	litSec := lossless.Encode(w.cfg.Opts.Backend, float32sToBytes(lits))
 	payload := make([]byte, 0, len(binsSec)+len(litSec)+2*10)
 	payload = appendUvarint(payload, uint64(len(binsSec)))
 	payload = append(payload, binsSec...)
