@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"cliz/internal/classify"
 	"cliz/internal/dataset"
@@ -404,6 +405,7 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 	if err != nil {
 		return nil, nil, err
 	}
+	sp.Stop() // binStats is trace-only work, not prediction
 	sp.EndFull(int64(len(work))*4, 0, int64(len(bins)), binStats(bins, lits, tvalid, opt.Trace))
 	if err := interrupted(opt.Interrupt); err != nil {
 		return nil, nil, err
@@ -449,6 +451,7 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		sp = trace.Begin(opt.Trace, "entropy")
 		encA := entropy.EncodeBlockSharded(opt.Entropy, a, W)
 		encB := entropy.EncodeBlockSharded(opt.Entropy, b, W)
+		sp.Stop()
 		sp.EndFull(int64(len(a)+len(b))*4, int64(len(encA)+len(encB)),
 			int64(len(a)+len(b)), entropyStats(opt.Trace, encA, encB))
 		sp = trace.Begin(opt.Trace, "lossless")
@@ -459,7 +462,7 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		sp.EndBytes(int64(len(encA)+len(encB)), int64(len(lsA)+len(lsB)))
 	} else {
 		symsp := symsPool.Get().(*[]uint32)
-		syms := (*symsp)[:0]
+		syms := slices.Grow((*symsp)[:0], len(bins))
 		for i, bin := range bins {
 			if tvalid != nil && !tvalid[i] {
 				continue
@@ -468,6 +471,7 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		}
 		sp = trace.Begin(opt.Trace, "entropy")
 		enc := entropy.EncodeBlockSharded(opt.Entropy, syms, W)
+		sp.Stop()
 		sp.EndFull(int64(len(syms))*4, int64(len(enc)), int64(len(syms)),
 			entropyStats(opt.Trace, enc))
 		*symsp = syms[:0]
@@ -507,7 +511,7 @@ func binStats(bins []int32, literals []float32, tvalid []bool, c trace.Collector
 		return nil
 	}
 	symsp := symsPool.Get().(*[]uint32)
-	syms := (*symsp)[:0]
+	syms := slices.Grow((*symsp)[:0], len(bins))
 	for i, b := range bins {
 		if tvalid != nil && !tvalid[i] {
 			continue

@@ -205,8 +205,10 @@ func CompressLayout(work []float32, lay grid.Layout, cfg Config, bins []int32) (
 	if err := e.checkWork(work, "work"); err != nil {
 		return nil, err
 	}
-	for i := range bins {
-		bins[i] = 0
+	// Masked points keep bin 0; without a mask the traversal writes every
+	// bin (TestTraversalCoversEveryPointOnce).
+	if cfg.Valid != nil {
+		clear(bins)
 	}
 	e.work = work
 	e.bins = bins
@@ -423,47 +425,42 @@ func (e *engine) passDim(d, stride int) {
 }
 
 // line walks one target line along the active dimension: x = stride,
-// 3·stride, ... idx/idxP start at the x = stride point. For unmasked grids
-// the interior of the line — where every reference is in bounds — runs a
-// specialized kernel with the full-validity coefficients hardwired,
-// skipping the per-reference bounds and mask tests; the prologue and
-// epilogue fall back to the general point predictor. The specialization
-// preserves the traversal order exactly, so bins and literals are
-// bit-identical to the general path.
+// 3·stride, ... idx/idxP start at the x = stride point. The interior of the
+// line — every point whose references all lie inside it — runs the fused
+// kernel for the fitting and direction (kernel.go). The prologue (cubic
+// points whose left references underrun the line) and the epilogue take the
+// general point predictor. The order of the points is the same either way,
+// so bins and literals are too.
 func (e *engine) line(idx, idxP, dimD, stepD, pstepD, stride int) {
 	x := stride
-	if e.cfg.Valid == nil {
-		if e.cfg.Fitting == predict.Cubic {
-			// Prologue: points whose left references underrun the line.
-			for ; x < dimD && x < 3*stride; x += 2 * stride {
-				e.predictPoint(idx, idxP, x, dimD, stepD, pstepD, stride)
-				idx += 2 * stepD
-				idxP += 2 * pstepD
-			}
-			// Interior: x−3s ≥ 0 and x+3s < dimD, all four references valid.
-			for ; x+3*stride < dimD; x += 2 * stride {
-				var d [4]float64
-				d[0] = float64(e.work[idxP-3*pstepD])
-				d[1] = float64(e.work[idxP-pstepD])
-				d[2] = float64(e.work[idxP+pstepD])
-				d[3] = float64(e.work[idxP+3*pstepD])
-				e.handle(idx, idxP, predict.PredictCubic(d, 15))
-				idx += 2 * stepD
-				idxP += 2 * pstepD
-			}
-		} else if e.cfg.Fitting == predict.Linear {
-			// Interior: x−s ≥ 0 always holds (x starts at stride), so only
-			// the right reference bound gates the fast kernel.
-			for ; x+stride < dimD; x += 2 * stride {
-				d1 := float64(e.work[idxP-pstepD])
-				d2 := float64(e.work[idxP+pstepD])
-				e.handle(idx, idxP, predict.PredictLinear(d1, d2, 3))
-				idx += 2 * stepD
-				idxP += 2 * pstepD
-			}
-		}
+	reach := stride // distance from a target to its furthest reference
+	if e.cfg.Fitting == predict.Cubic {
+		reach = 3 * stride
 	}
-	// Epilogue (and the whole line for masked grids): the general predictor.
+	for ; x < dimD && x < reach; x += 2 * stride {
+		e.predictPoint(idx, idxP, x, dimD, stepD, pstepD, stride)
+		idx += 2 * stepD
+		idxP += 2 * pstepD
+	}
+	if x+reach < dimD {
+		n := (dimD-reach-x-1)/(2*stride) + 1
+		switch {
+		case e.cfg.Fitting == predict.Cubic && e.decode:
+			e.decodeCubic(idx, idxP, x, n, dimD, stepD, pstepD, stride)
+		case e.cfg.Fitting == predict.Cubic:
+			e.encodeCubic(idx, idxP, x, n, dimD, stepD, pstepD, stride)
+		case e.decode:
+			e.decodeLinear(idx, idxP, x, n, dimD, stepD, pstepD, stride)
+		default:
+			e.encodeLinear(idx, idxP, x, n, dimD, stepD, pstepD, stride)
+		}
+		if e.err != nil {
+			return
+		}
+		x += 2 * stride * n
+		idx += 2 * stepD * n
+		idxP += 2 * pstepD * n
+	}
 	for ; x < dimD; x += 2 * stride {
 		e.predictPoint(idx, idxP, x, dimD, stepD, pstepD, stride)
 		idx += 2 * stepD
@@ -526,7 +523,7 @@ func (e *engine) handle(idx, idxP int, pred float64) {
 		var lit float64
 		if bin == 0 {
 			if e.litPos >= len(e.lits) {
-				e.err = fmt.Errorf("interp: literal stream underrun at point %d: %w", idx, ErrCorrupt)
+				e.err = errUnderrun(idx)
 				return
 			}
 			lit = float64(e.lits[e.litPos])
@@ -549,6 +546,10 @@ func (e *engine) handle(idx, idxP int, pred float64) {
 		e.work[idxP] = float32(recon)
 	}
 	e.bins[idx] = bin
+}
+
+func errUnderrun(idx int) error {
+	return fmt.Errorf("interp: literal stream underrun at point %d: %w", idx, ErrCorrupt)
 }
 
 // checkPoint compares the finished reconstruction at idxP against the value

@@ -1,0 +1,484 @@
+package interp
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"cliz/internal/grid"
+	"cliz/internal/predict"
+	"cliz/internal/quant"
+)
+
+// refVisit calls visit for every point the engine handles, in the engine's
+// order: the origin first (d = −1, at the top level), then per level from
+// coarse to fine and per dimension d, the targets of that pass — the other
+// coordinates in row-major order (coordinates before d on multiples of the
+// stride, after d on multiples of twice the stride), the d coordinate
+// innermost on odd multiples of the stride. It is written from that
+// description, not from the engine's odometer.
+func refVisit(dims []int, visit func(coord []int, level, d, stride int)) {
+	n := len(dims)
+	top := Levels(dims)
+	coord := make([]int, n)
+	visit(coord, top, -1, 0)
+	for level := top; level >= 1; level-- {
+		s := 1 << (level - 1)
+		for d := 0; d < n; d++ {
+			if s >= dims[d] {
+				continue
+			}
+			var axes []int
+			for k := 0; k < n; k++ {
+				if k != d {
+					axes = append(axes, k)
+				}
+			}
+			axes = append(axes, d)
+			var walk func(i int)
+			walk = func(i int) {
+				if i == n {
+					visit(coord, level, d, s)
+					return
+				}
+				ax := axes[i]
+				start, step := 0, s
+				switch {
+				case ax == d:
+					start, step = s, 2*s
+				case ax > d:
+					step = 2 * s
+				}
+				for c := start; c < dims[ax]; c += step {
+					coord[ax] = c
+					walk(i + 1)
+				}
+				coord[ax] = 0
+			}
+			walk(0)
+		}
+	}
+}
+
+// refQuantizer is the quantizer the engine uses at a level.
+func refQuantizer(cfg Config, level int) quant.Quantizer {
+	eb := cfg.EB
+	if cfg.LevelEBFactor != nil {
+		if f := cfg.LevelEBFactor(level); f > 0 {
+			eb *= f
+		}
+	}
+	radius := cfg.Radius
+	if radius == 0 {
+		radius = quant.DefaultRadius
+	}
+	return quant.New(eb, radius)
+}
+
+// refPredict is the scalar reference prediction of the point at coord from
+// the values in work (logical row-major order): references outside the grid
+// or masked are invalid, and predict.Predict* degrades the fit.
+func refPredict(work []float32, dims []int, cfg Config, coord []int, d, stride int) float64 {
+	if d < 0 {
+		return 0
+	}
+	step := grid.Strides(dims)[d] * stride
+	idx := grid.Index(coord, dims)
+	ref := func(off int) (float64, bool) {
+		x := coord[d] + off*stride
+		j := idx + off*step
+		if x < 0 || x >= dims[d] || (cfg.Valid != nil && !cfg.Valid[j]) {
+			return 0, false
+		}
+		return float64(work[j]), true
+	}
+	if cfg.Fitting == predict.Cubic {
+		var v [4]float64
+		vm := 0
+		for i, off := range [4]int{-3, -1, 1, 3} {
+			var ok bool
+			if v[i], ok = ref(off); ok {
+				vm |= 1 << i
+			}
+		}
+		return predict.PredictCubic(v, vm)
+	}
+	d1, ok1 := ref(-1)
+	d2, ok2 := ref(1)
+	vm := 0
+	if ok1 {
+		vm |= 1
+	}
+	if ok2 {
+		vm |= 2
+	}
+	return predict.PredictLinear(d1, d2, vm)
+}
+
+// refCompress is the scalar reference encoder: quant.Quantize at every
+// point, in the engine's order, over logical row-major data.
+func refCompress(data []float32, dims []int, cfg Config) (bins []int32, lits []float32, recon []float32) {
+	recon = append([]float32(nil), data...)
+	bins = make([]int32, len(data))
+	refVisit(dims, func(coord []int, level, d, stride int) {
+		idx := grid.Index(coord, dims)
+		if cfg.Valid != nil && !cfg.Valid[idx] {
+			return
+		}
+		pred := refPredict(recon, dims, cfg, coord, d, stride)
+		bin, r, exact := refQuantizer(cfg, level).Quantize(pred, float64(recon[idx]))
+		if exact {
+			lits = append(lits, recon[idx])
+		} else {
+			recon[idx] = float32(r)
+		}
+		bins[idx] = bin
+	})
+	refFill(recon, cfg)
+	return bins, lits, recon
+}
+
+// refDecompress is the scalar reference decoder: quant.Recover at every
+// point.
+func refDecompress(bins []int32, lits []float32, dims []int, cfg Config) ([]float32, error) {
+	out := make([]float32, len(bins))
+	pos := 0
+	var err error
+	refVisit(dims, func(coord []int, level, d, stride int) {
+		idx := grid.Index(coord, dims)
+		if err != nil || (cfg.Valid != nil && !cfg.Valid[idx]) {
+			return
+		}
+		pred := refPredict(out, dims, cfg, coord, d, stride)
+		var lit float64
+		if bins[idx] == 0 {
+			if pos >= len(lits) {
+				err = ErrCorrupt
+				return
+			}
+			lit = float64(lits[pos])
+			pos++
+		}
+		out[idx] = float32(refQuantizer(cfg, level).Recover(pred, bins[idx], lit))
+	})
+	refFill(out, cfg)
+	return out, err
+}
+
+func refFill(out []float32, cfg Config) {
+	for i := range out {
+		if cfg.Valid != nil && !cfg.Valid[i] {
+			out[i] = cfg.FillValue
+		}
+	}
+}
+
+// sameBits reports the first index where two float32 slices differ bit for
+// bit, or −1.
+func sameBits(a, b []float32) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkKernel runs the engine (through the layout of perm over the original
+// array, so physical and logical steps differ when perm is not the
+// identity) and the scalar reference (over the transposed logical array)
+// and requires identical bins, literals, reconstruction and decode output,
+// and a clean verify replay.
+// cfg.Valid is given in original order.
+func checkKernel(t *testing.T, data []float32, dims, perm []int, cfg Config) {
+	t.Helper()
+	lay, ok := grid.FusedLayout(dims, perm, grid.NoFusion(len(dims)))
+	if !ok {
+		t.Fatalf("no layout for %v perm %v", dims, perm)
+	}
+	logical, err := grid.Transpose(data, dims, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Valid != nil {
+		if cfg.Valid, err = grid.Transpose(cfg.Valid, dims, perm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ldims := lay.Dims
+
+	work := append([]float32(nil), data...)
+	bins := make([]int32, len(data))
+	for i := range bins {
+		bins[i] = -1 // the engine must overwrite every bin
+	}
+	lits, err := CompressLayout(work, lay, cfg, bins)
+	if err != nil {
+		t.Fatalf("compress: %v", err)
+	}
+	wantBins, wantLits, wantRecon := refCompress(logical, ldims, cfg)
+	for i := range bins {
+		if bins[i] != wantBins[i] {
+			t.Fatalf("bin %d: engine %d, reference %d", i, bins[i], wantBins[i])
+		}
+	}
+	if i := sameBits(lits, wantLits); i >= 0 {
+		t.Fatalf("literal %d differs: engine %d literals, reference %d", i, len(lits), len(wantLits))
+	}
+	recon, err := grid.Transpose(work, dims, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := sameBits(recon, wantRecon); i >= 0 {
+		t.Fatalf("reconstruction %d: engine %#x, reference %#x",
+			i, math.Float32bits(recon[i]), math.Float32bits(wantRecon[i]))
+	}
+
+	// Verify replay over the encoder's reconstruction checks every valid
+	// point and finds no mismatch.
+	handled := 0
+	for i := range bins {
+		if cfg.Valid == nil || cfg.Valid[i] {
+			handled++
+		}
+	}
+	if checked, err := VerifyLayout(bins, lits, lay, cfg, work, 1); err != nil || checked != handled {
+		t.Fatalf("verify replay: %d of %d points checked, error %v", checked, handled, err)
+	}
+
+	out := make([]float32, len(data))
+	if err := DecompressLayout(bins, lits, lay, cfg, out); err != nil {
+		t.Fatalf("decompress: %v", err)
+	}
+	wantOut, err := refDecompress(bins, lits, ldims, cfg)
+	if err != nil {
+		t.Fatalf("reference decompress: %v", err)
+	}
+	got, err := grid.Transpose(out, dims, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := sameBits(got, wantOut); i >= 0 {
+		t.Fatalf("decode %d: engine %#x, reference %#x",
+			i, math.Float32bits(got[i]), math.Float32bits(wantOut[i]))
+	}
+	// A literal stream one short must fail cleanly on both paths.
+	if len(lits) > 0 {
+		err := DecompressLayout(bins, lits[:len(lits)-1], lay, cfg, out)
+		if _, rerr := refDecompress(bins, lits[:len(lits)-1], ldims, cfg); (err == nil) != (rerr == nil) {
+			t.Fatalf("truncated literals: engine error %v, reference error %v", err, rerr)
+		}
+	}
+}
+
+// specials are the adversarial bit patterns: NaN payloads (quiet,
+// signalling, negative), ±Inf, ±0, subnormals, the CESM fill value and the
+// float32 extremes.
+var specials = []uint32{
+	0x7fc00000, 0x7fc00001, 0x7f800001, 0xffc12345, 0x7fbfffff,
+	0x7f800000, 0xff800000,
+	0x00000000, 0x80000000,
+	0x00000001, 0x807fffff, 0x00400000,
+	math.Float32bits(1e35), math.Float32bits(-1e35),
+	0x7f7fffff, 0xff7fffff, 0x00800000,
+}
+
+// adversarialField mixes a smooth field with integer values (at eb = 0.5 a
+// linear or cubic prediction of integers often puts qf exactly on k+½),
+// values at and just past ±(radius−1) quanta from zero, and the special
+// bit patterns above.
+func adversarialField(dims []int, seed int64, eb float64, radius int32) []float32 {
+	rng := rand.New(rand.NewSource(seed))
+	out := smoothField(dims, seed)
+	lim := float64(radius - 1)
+	for i := range out {
+		switch r := rng.Intn(20); {
+		case r < 6:
+			out[i] = float32(rng.Intn(41) - 20)
+		case r < 8:
+			edge := []float64{lim, lim + 0.5, lim - 0.5, lim + 1}[rng.Intn(4)]
+			if rng.Intn(2) == 0 {
+				edge = -edge
+			}
+			out[i] = float32(edge * 2 * eb)
+		case r < 10:
+			out[i] = math.Float32frombits(specials[rng.Intn(len(specials))])
+		}
+	}
+	return out
+}
+
+func levelFactor(level int) float64 {
+	if level < 1 {
+		level = 1
+	}
+	return 1 / math.Min(math.Pow(1.5, float64(level-1)), 4)
+}
+
+// randomMask masks about a third of the points, in runs so that both
+// isolated masked references and fully masked lines occur.
+func randomMask(n int, seed int64) []bool {
+	rng := rand.New(rand.NewSource(seed))
+	v := make([]bool, n)
+	for i := 0; i < n; {
+		run := 1 + rng.Intn(6)
+		ok := rng.Intn(3) != 0
+		for j := 0; j < run && i < n; j++ {
+			v[i] = ok
+			i++
+		}
+	}
+	return v
+}
+
+// TestKernelMatchesReference holds the fused kernels to the scalar
+// reference traversal over linear and cubic fitting, masked and unmasked
+// grids, odd and even extents, per-level bounds, a small and the default
+// radius, a permuted layout, and adversarial float bit patterns.
+func TestKernelMatchesReference(t *testing.T) {
+	shapes := [][]int{
+		{1}, {2}, {16}, {17}, {64}, {9, 12}, {8, 13}, {5, 6, 7}, {6, 6, 6},
+		{3, 1, 10}, {33, 2}, {4, 5, 3, 6},
+	}
+	seed := int64(0)
+	for _, dims := range shapes {
+		vol := grid.Volume(dims)
+		ident := make([]int, len(dims))
+		rev := make([]int, len(dims))
+		for i := range dims {
+			ident[i] = i
+			rev[i] = len(dims) - 1 - i
+		}
+		for _, fit := range []predict.Fitting{predict.Linear, predict.Cubic} {
+			for _, radius := range []int32{8, 0} {
+				for _, eb := range []float64{0.5, 1e-3, 1e308} {
+					for _, masked := range []bool{false, true} {
+						for _, perm := range [][]int{ident, rev} {
+							seed++
+							cfg := Config{EB: eb, Radius: radius, Fitting: fit, FillValue: 1e35}
+							if seed%2 == 0 {
+								cfg.LevelEBFactor = levelFactor
+							}
+							if masked {
+								cfg.Valid = randomMask(vol, seed)
+							}
+							r := radius
+							if r == 0 {
+								r = quant.DefaultRadius
+							}
+							data := adversarialField(dims, seed, eb, r)
+							t.Run(fmt.Sprintf("%v/%v/r%d/eb%g/mask=%v/perm%v", dims, fit, radius, eb, masked, perm), func(t *testing.T) {
+								checkKernel(t, data, dims, perm, cfg)
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelSignedZero: a prediction of −0 with a bin of k = 0 must
+// reconstruct +0, as quant.Quantize does through its int32 bin (−0 + +0 is
+// +0, while −0 + −0 would stay −0). The fields below steer a cubic and a
+// linear interior point onto exactly that: their references are −0 and +0
+// literals (NaN or 1e35 neighbours make those unpredictable), so the
+// prediction is −0, and the target −0.1 rounds to k = −0.
+func TestKernelSignedZero(t *testing.T) {
+	nan, nz := float32(math.NaN()), float32(math.Copysign(0, -1))
+	cases := []struct {
+		name   string
+		data   []float32
+		fit    predict.Fitting
+		radius int32
+		target int
+	}{
+		// Cubic: point 7 is interior at stride 1 with references 4 (+0),
+		// 6 (−0), 8 (−0) and 10 (+0); the NaN origin makes 4, 6 and 8
+		// literals.
+		{"cubic", []float32{nan, 5, 5, 5, 0, 5, nz, -0.1, nz, 5, 0, 5, 0}, predict.Cubic, 0, 7},
+		// Linear: point 3 is interior with references 2 and 4, both −0
+		// literals under radius 2 beside the 1e35 origin.
+		{"linear", []float32{1e35, 0, nz, -0.1, nz}, predict.Linear, 2, 3},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{EB: 0.5, Radius: c.radius, Fitting: c.fit}
+			dims := []int{len(c.data)}
+			checkKernel(t, c.data, dims, []int{0}, cfg)
+			res, err := Compress(c.data, dims, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := math.Float32bits(res.Recon[c.target]); got != 0 {
+				t.Fatalf("target reconstructs to %#x, want +0", got)
+			}
+		})
+	}
+}
+
+// FuzzKernel holds the fused kernels to the scalar reference over
+// arbitrary float bit patterns, shapes, masks, bounds and radii.
+//
+// shape: low 2 bits pick 1–3 dimensions, then 4 bits per extent (1–16).
+// mode: bit 0 cubic, bit 1 masked, bit 2 per-level bounds, bit 3 radius 8,
+// bits 4–5 the bound (0.5, 1e-3, 1e-30, 1e308), bit 6 reversed axes.
+func FuzzKernel(f *testing.F) {
+	seedVals := make([]byte, 0, 4*len(specials))
+	for _, b := range specials {
+		seedVals = binary.LittleEndian.AppendUint32(seedVals, b)
+	}
+	f.Add(seedVals, uint32(0x3b7a), uint8(0x0b))
+	f.Add(seedVals, uint32(0x11f2), uint8(0x4e))
+	f.Add([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x40}, uint32(0x0ff1), uint8(0x09))
+	f.Add([]byte{}, uint32(0x0003), uint8(0x30))
+	f.Fuzz(func(t *testing.T, raw []byte, shape uint32, mode uint8) {
+		n := 1 + int(shape%3)
+		dims := make([]int, n)
+		perm := make([]int, n)
+		for i := range dims {
+			dims[i] = 1 + int(shape>>(2+4*i))&15
+			perm[i] = i
+			if mode&64 != 0 {
+				perm[i] = n - 1 - i
+			}
+		}
+		vol := grid.Volume(dims)
+		data := make([]float32, vol)
+		mask := make([]bool, vol)
+		for i := range data {
+			var b [4]byte
+			for k := range b {
+				if len(raw) > 0 {
+					b[k] = raw[(4*i+k)%len(raw)]
+				}
+			}
+			bits := binary.LittleEndian.Uint32(b[:])
+			data[i] = math.Float32frombits(bits)
+			mask[i] = (bits*2654435761)>>30 != 0 // about a quarter masked
+		}
+		cfg := Config{
+			EB:        []float64{0.5, 1e-3, 1e-30, 1e308}[mode>>4&3],
+			Fitting:   predict.Linear,
+			FillValue: -9999,
+		}
+		if mode&1 != 0 {
+			cfg.Fitting = predict.Cubic
+		}
+		if mode&2 != 0 {
+			cfg.Valid = mask
+		}
+		if mode&4 != 0 {
+			cfg.LevelEBFactor = levelFactor
+		}
+		if mode&8 != 0 {
+			cfg.Radius = 8
+		}
+		checkKernel(t, data, dims, perm, cfg)
+	})
+}

@@ -222,8 +222,9 @@ func CompressLayout(work []float32, lay grid.Layout, cfg Config, bins []int32) (
 	if err := e.checkWork(work, "work"); err != nil {
 		return nil, err
 	}
-	for i := range bins {
-		bins[i] = 0
+	// Masked points keep bin 0; without a mask the scan writes every bin.
+	if cfg.Valid != nil {
+		clear(bins)
 	}
 	e.work = work
 	e.bins = bins

@@ -313,12 +313,14 @@ func Prefixed(c Collector, prefix string) Collector {
 }
 
 // Span measures one stage. The zero Span (from Begin with a nil collector)
-// is inert: End and its variants return immediately without reading the
-// clock or allocating.
+// is inert: Stop, End and its variants return immediately without reading
+// the clock or allocating.
 type Span struct {
-	c    Collector
-	name string
-	t0   time.Time
+	c       Collector
+	name    string
+	t0      time.Time
+	d       time.Duration // the duration frozen by Stop
+	stopped bool
 }
 
 // Begin starts a span. With a nil collector it returns the zero Span and
@@ -329,6 +331,21 @@ func Begin(c Collector, name string) Span {
 		return Span{}
 	}
 	return Span{c: c, name: name, t0: time.Now()}
+}
+
+// Stop freezes the span's duration; the End call that follows records it
+// instead of reading the clock again. Go evaluates EndFull's arguments
+// before the call, so a span whose annotations are costly to compute stops
+// first and keeps that trace-only work out of its own time:
+//
+//	sp.Stop()
+//	sp.EndFull(in, out, items, expensiveStats())
+func (sp *Span) Stop() {
+	if sp.c == nil || sp.stopped {
+		return
+	}
+	sp.d = time.Since(sp.t0)
+	sp.stopped = true
 }
 
 // End records the span with no byte accounting.
@@ -343,9 +360,13 @@ func (sp Span) EndFull(in, out, items int64, extra []KV) {
 	if sp.c == nil {
 		return
 	}
+	d := sp.d
+	if !sp.stopped {
+		d = time.Since(sp.t0)
+	}
 	sp.c.Record(Stage{
 		Name:     sp.name,
-		Duration: time.Since(sp.t0),
+		Duration: d,
 		InBytes:  in,
 		OutBytes: out,
 		Items:    items,

@@ -34,12 +34,44 @@ func TestSpanNilCollectorAllocs(t *testing.T) {
 	// The no-collector hot path must not allocate or read the clock.
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := Begin(nil, "predict")
+		sp.Stop()
 		sp.EndFull(1, 2, 3, nil)
 		Begin(nil, "x").End()
 		Begin(Prefixed(nil, "chunk[0]"), "y").EndBytes(4, 5)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-collector span allocated %v times per run", allocs)
+	}
+}
+
+// TestStopExcludesLaterWork: work done between Stop and EndFull — here a
+// sleep standing in for computing the annotations — is not part of the
+// recorded duration, while the annotations still land on the record.
+func TestStopExcludesLaterWork(t *testing.T) {
+	var r Recorder
+	t0 := time.Now()
+	sp := Begin(&r, "predict")
+	sp.Stop()
+	bound := time.Since(t0) // the span's whole life so far
+	sp.Stop()               // a second Stop keeps the first duration
+	time.Sleep(20 * time.Millisecond)
+	sp.EndFull(1, 2, 3, []KV{{"entropy_bits", 1.5}})
+	got := r.Stages()
+	if len(got) != 1 {
+		t.Fatalf("stages %d", len(got))
+	}
+	if got[0].Duration > bound {
+		t.Fatalf("stopped span recorded %v, more than the %v it ran before Stop", got[0].Duration, bound)
+	}
+	if got[0].Items != 3 || len(got[0].Extra) != 1 || got[0].Extra[0].Value != 1.5 {
+		t.Fatalf("bad record %+v", got[0])
+	}
+	// Without Stop the same sleep is counted.
+	sp = Begin(&r, "entropy")
+	time.Sleep(20 * time.Millisecond)
+	sp.End()
+	if d := r.Stages()[1].Duration; d < 20*time.Millisecond {
+		t.Fatalf("unstopped span recorded %v, less than its 20ms of work", d)
 	}
 }
 
