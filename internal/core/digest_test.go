@@ -10,11 +10,11 @@ import (
 
 // TestWorkers1BlobDigests pins the Workers=1 blob of every goldenCases
 // pipeline by SHA-256, with the lossless stage forced to Flate level 6. The
-// v1 fixtures are not committed, so without these digests the serial
-// encoder's bytes (Huffman and rANS bins, classified multi-stream bins, the
-// chunked container) would be unpinned. The hashes predate pooled Flate
-// state and single-copy section framing, so they also pin both as
-// bit-identical.
+// frozen v1 fixtures pin only what the decoder reads, so without these
+// digests the serial encoder's bytes (Huffman and rANS bins, classified
+// multi-stream bins, the chunked container) would be unpinned. The hashes
+// predate pooled Flate state and single-copy section framing, so they also
+// pin both as bit-identical.
 func TestWorkers1BlobDigests(t *testing.T) {
 	checkWorkers1Digests(t, lossless.Flate{Level: 6}, map[string]string{
 		"cubic-default":          "3bfcec94d97b59dca1896400ac3dae4b0baef7cae9b476c25bb80d8bf97062bc",

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -22,7 +23,10 @@ import (
 // pins the decoder's hostile-input behaviour: truncated headers, corrupted
 // entropy streams, volume-overflow dims and malformed chunked containers.
 // `go test` runs every seed through the fuzz target even without -fuzz;
-// regenerate the files with `go test ./internal/core -run TestFuzzCorpus -update`.
+// regenerate the files with `go test ./internal/core -run TestFuzzCorpus -update-corpus`.
+
+var updateCorpus = flag.Bool("update-corpus", false,
+	"regenerate the FuzzDecompress seed corpus under testdata/fuzz")
 
 // corpusSeeds builds the hostile blobs from deterministic valid ones.
 func corpusSeeds(t testing.TB) map[string][]byte {
@@ -282,12 +286,12 @@ func fuzzCorpusDir() string {
 	return filepath.Join("testdata", "fuzz", "FuzzDecompress")
 }
 
-// TestFuzzCorpus regenerates the seed files with -update and always replays
+// TestFuzzCorpus regenerates the seed files with -update-corpus and always replays
 // every on-disk seed through the decoder entry points, requiring a clean
 // error or a clean success — never a panic.
 func TestFuzzCorpus(t *testing.T) {
 	seeds := corpusSeeds(t)
-	if *updateGolden {
+	if *updateCorpus {
 		if err := os.MkdirAll(fuzzCorpusDir(), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +315,7 @@ func TestFuzzCorpus(t *testing.T) {
 	}
 	entries, err := os.ReadDir(fuzzCorpusDir())
 	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
+		t.Fatalf("%v (regenerate with -update-corpus)", err)
 	}
 	ran := 0
 	for _, e := range entries {
@@ -336,7 +340,7 @@ func TestFuzzCorpus(t *testing.T) {
 		ran++
 	}
 	if ran < len(seeds) {
-		t.Fatalf("only %d corpus files on disk, expected at least %d (regenerate with -update)", ran, len(seeds))
+		t.Fatalf("only %d corpus files on disk, expected at least %d (regenerate with -update-corpus)", ran, len(seeds))
 	}
 }
 

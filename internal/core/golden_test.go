@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -16,13 +15,14 @@ import (
 	"cliz/internal/predict"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate golden fixtures under testdata/golden")
-
-// goldenCases pins the on-disk blob format: every pipeline variant has a
-// committed blob plus its expected reconstruction, and the decoder must keep
-// reproducing that reconstruction bit-for-bit. Catching an accidental format
-// or decoder change is the point — after a deliberate format change,
-// regenerate with `go test ./internal/core -run TestGolden -update`.
+// goldenCases pins decode-side backward compatibility for the version-1
+// on-disk format: every pipeline variant has a committed v1 blob plus its
+// expected reconstruction, and the decoder must keep reproducing that
+// reconstruction bit-for-bit. The fixtures are frozen: they were written by
+// the v1 writer of commit 7dd3323, and the writer has since moved on (v2
+// sectioned prediction, v3 integrity checksums), so they are never
+// regenerated. The cases record the inputs each blob was made from, which
+// checkBound holds the reconstruction against.
 var goldenCases = []struct {
 	name string
 	ds   func() *dataset.Dataset
@@ -104,52 +104,17 @@ func goldenPath(name, ext string) string {
 }
 
 func TestGoldenFixtures(t *testing.T) {
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := tc.ds()
 			eb := ds.AbsErrorBound(tc.rel)
-			p := tc.pipe(ds)
-			if *updateGolden {
-				var blob []byte
-				var err error
-				if tc.chunks > 0 {
-					blob, err = CompressChunked(ds, eb, p, tc.opt, tc.chunks, 2)
-				} else {
-					blob, err = Compress(ds, eb, p, tc.opt)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				var recon []float32
-				if tc.chunks > 0 {
-					recon, _, err = DecompressChunked(blob, 2)
-				} else {
-					recon, _, err = Decompress(blob)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(goldenPath(tc.name, ".clz"), blob, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(goldenPath(tc.name, ".f32"), floatsToBytes(recon), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("updated %s: %d-byte blob, %d points", tc.name, len(blob), len(recon))
-				return
-			}
 			blob, err := os.ReadFile(goldenPath(tc.name, ".clz"))
 			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
+				t.Fatalf("%v (v1 fixtures are frozen; do not regenerate)", err)
 			}
 			wantRaw, err := os.ReadFile(goldenPath(tc.name, ".f32"))
 			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
+				t.Fatal(err)
 			}
 			var recon []float32
 			var dims []int
@@ -173,6 +138,18 @@ func TestGoldenFixtures(t *testing.T) {
 			// And the reconstruction must still respect the error bound
 			// against the deterministic source field.
 			checkBound(t, ds, recon, eb)
+			// A fixture that is not a v1 blob pins nothing of the v1 format:
+			// Verify must walk it as intact, version 1 and unchecksummed.
+			rep := Verify(blob)
+			if !rep.OK() {
+				t.Fatalf("Verify rejected an intact v1 fixture:\n%s", rep)
+			}
+			if rep.Checksummed {
+				t.Fatal("Verify claims a v1 blob is checksummed")
+			}
+			if rep.Version != 1 {
+				t.Fatalf("Verify reports version %d for a v1 fixture", rep.Version)
+			}
 		})
 	}
 }
