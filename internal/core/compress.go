@@ -146,39 +146,118 @@ func interrupted(poll func() error) error {
 func compressGeneral(data []float32, dims []int, v validity, eb float64,
 	p Pipeline, fill float32, opt Options) ([]byte, []float32, error) {
 
-	if err := interrupted(opt.Interrupt); err != nil {
+	pr, err := predictGeneral(data, dims, v, eb, p, fill, opt, nil)
+	if err != nil {
 		return nil, nil, err
+	}
+	blob, err := pr.encode(p.Classify)
+	if err != nil {
+		return nil, nil, err
+	}
+	recon, err := pr.recon()
+	if err != nil {
+		return nil, nil, err
+	}
+	return blob, recon, nil
+}
+
+// prediction is a pipeline's input carried through every stage up to the
+// quantization bins: the periodic template and residual, the permutation,
+// and prediction itself. Classification only post-processes bins, and the
+// template pipeline never classifies, so one prediction serves a pipeline
+// with and without classification; encode writes either blob. Encode the
+// unclassified blob first: a classified encode shifts the bins in place.
+type prediction struct {
+	unit *unitPrediction // the whole unit, or the periodic residual
+	per  *periodicParts  // nil unless the periodic wrapper applies
+}
+
+// periodicParts is what a periodic blob adds around its residual unit.
+type periodicParts struct {
+	h         header // wrapper header; encode sets flagClassify
+	tmplBlob  []byte
+	tmplRecon []float32
+	valid     []bool
+}
+
+// predictGeneral validates p against the input and runs it up to the bins.
+// m, when non-nil, supplies and keeps candidate-invariant intermediates
+// (see tuneMemo).
+func predictGeneral(data []float32, dims []int, v validity, eb float64,
+	p Pipeline, fill float32, opt Options, m *tuneMemo) (*prediction, error) {
+
+	if err := interrupted(opt.Interrupt); err != nil {
+		return nil, err
 	}
 	if eb <= 0 {
-		return nil, nil, fmt.Errorf("core: error bound must be positive, got %g", eb)
+		return nil, fmt.Errorf("core: error bound must be positive, got %g", eb)
 	}
 	if err := p.Validate(len(dims)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if v.none() {
 		p.UseMask = false
 	}
 	if p.Period >= 2 && dims[0] >= 2*p.Period {
-		return compressPeriodic(data, dims, v, eb, p, fill, opt)
+		return predictPeriodic(data, dims, v, eb, p, fill, opt, m)
 	}
 	p.Period = 0
-	return compressUnit(data, dims, v, eb, p, fill, opt)
+	u, err := predictUnit(data, dims, v, eb, p, fill, opt, m)
+	if err != nil {
+		return nil, err
+	}
+	return &prediction{unit: u}, nil
 }
 
-// compressPeriodic implements periodic component extraction (paper §VI-D):
+// encode writes the blob with or without classification.
+func (pr *prediction) encode(classified bool) ([]byte, error) {
+	res, err := pr.unit.encode(classified)
+	if err != nil || pr.per == nil {
+		return res, err
+	}
+	h := pr.per.h
+	if classified {
+		h.flags |= flagClassify
+	}
+	w := blobWriter{h: h}
+	w.add(secTemplate, pr.per.tmplBlob)
+	w.add(secResidual, res)
+	return w.bytes(), nil
+}
+
+// recon returns the reconstruction the decoder will produce.
+func (pr *prediction) recon() ([]float32, error) {
+	r, err := pr.unit.recon()
+	if err != nil || pr.per == nil {
+		return r, err
+	}
+	h := pr.per.h
+	recon := addTemplate(r, pr.per.tmplRecon, h.dims, h.pipe.Period)
+	if pr.per.valid != nil {
+		for i, ok := range pr.per.valid {
+			if !ok {
+				recon[i] = h.fill
+			}
+		}
+	}
+	return recon, nil
+}
+
+// predictPeriodic implements periodic component extraction (paper §VI-D):
 // the template (per-phase mean) and the residual are compressed as two
 // nested blobs. The residual is computed against the template's *lossy
 // reconstruction*, so the residual's error bound alone bounds the composed
-// error and both components may use the full budget.
-func compressPeriodic(data []float32, dims []int, v validity, eb float64,
-	p Pipeline, fill float32, opt Options) ([]byte, []float32, error) {
+// error and both components may use the full budget. The template blob is
+// final here; only the residual is left to encode.
+func predictPeriodic(data []float32, dims []int, v validity, eb float64,
+	p Pipeline, fill float32, opt Options, m *tuneMemo) (*prediction, error) {
 
 	valid, err := v.bitmap(dims)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sp := trace.Begin(opt.Trace, "template-build")
-	tmplData, tmplDims, tmplValid := buildTemplate(data, dims, valid, p.Period, fill)
+	tmplData, tmplDims, tmplValid := m.template(data, dims, valid, p.Period, fill)
 	sp.EndFull(int64(len(data))*4, int64(len(tmplData))*4, int64(len(tmplData)), nil)
 	tv := validity{}
 	if v.hm != nil && len(dims) >= 3 {
@@ -191,9 +270,9 @@ func compressPeriodic(data []float32, dims []int, v validity, eb float64,
 	tp := templatePipeline(p, len(tmplDims))
 	topt := opt
 	topt.Trace = trace.Prefixed(opt.Trace, "template")
-	tmplBlob, tmplRecon, err := compressUnit(tmplData, tmplDims, tv, eb, tp, fill, topt)
+	tmplBlob, tmplRecon, err := compressUnit(tmplData, tmplDims, tv, eb, tp, fill, topt, m)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: template: %w", err)
+		return nil, fmt.Errorf("core: template: %w", err)
 	}
 	sp = trace.Begin(opt.Trace, "residual-build")
 	residual := subtractTemplate(data, tmplRecon, dims, p.Period, valid, fill)
@@ -208,16 +287,20 @@ func compressPeriodic(data []float32, dims []int, v validity, eb float64,
 		up := p
 		up.Period = 0
 		up.Template = nil
-		return compressUnit(data, dims, v, eb, up, fill, opt)
+		u, err := predictUnit(data, dims, v, eb, up, fill, opt, m)
+		if err != nil {
+			return nil, err
+		}
+		return &prediction{unit: u}, nil
 	}
 	rp := p
 	rp.Period = 0
 	rp.Template = nil
 	ropt := opt
 	ropt.Trace = trace.Prefixed(opt.Trace, "residual")
-	resBlob, resRecon, err := compressUnit(residual, dims, v, eb-slack, rp, fill, ropt)
+	u, err := predictUnit(residual, dims, v, eb-slack, rp, fill, ropt, m)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: residual: %w", err)
+		return nil, fmt.Errorf("core: residual: %w", err)
 	}
 	h := header{
 		flags:     flagPeriodic | maskFlags(v) | fitFlag(p),
@@ -228,23 +311,9 @@ func compressPeriodic(data []float32, dims []int, v validity, eb float64,
 		pipe:      p,
 		psections: 1, // periodic wrappers carry no bin streams of their own
 	}
-	if p.Classify {
-		h.flags |= flagClassify
-	}
-	w := blobWriter{h: h}
-	w.add(secTemplate, tmplBlob)
-	w.add(secResidual, resBlob)
-	out := w.bytes()
-	// Compose the reconstruction: template tile + residual.
-	recon := addTemplate(resRecon, tmplRecon, dims, p.Period)
-	if valid != nil {
-		for i, ok := range valid {
-			if !ok {
-				recon[i] = fill
-			}
-		}
-	}
-	return out, recon, nil
+	return &prediction{unit: u, per: &periodicParts{
+		h: h, tmplBlob: tmplBlob, tmplRecon: tmplRecon, valid: valid,
+	}}, nil
 }
 
 // compositionSlack bounds the float32 rounding the periodic composition
@@ -341,16 +410,63 @@ func identityPerm(n int) []int {
 	return p
 }
 
-// compressUnit handles a single (non-periodic) compression unit.
+// compressUnit compresses a single (non-periodic) compression unit.
 func compressUnit(data []float32, dims []int, v validity, eb float64,
-	p Pipeline, fill float32, opt Options) ([]byte, []float32, error) {
+	p Pipeline, fill float32, opt Options, m *tuneMemo) ([]byte, []float32, error) {
+
+	u, err := predictUnit(data, dims, v, eb, p, fill, opt, m)
+	if err != nil {
+		return nil, nil, err
+	}
+	blob, err := u.encode(p.Classify)
+	if err != nil {
+		return nil, nil, err
+	}
+	recon, err := u.recon()
+	if err != nil {
+		return nil, nil, err
+	}
+	return blob, recon, nil
+}
+
+// unitPrediction is one compression unit after prediction: the bins,
+// literals and reconstruction, with what the blob header records.
+type unitPrediction struct {
+	dims   []int
+	v      validity
+	eb     float64
+	fill   float32
+	p      Pipeline // p.Classify is ignored: encode takes it
+	opt    Options
+	m      *tuneMemo
+	P      int // predict sections
+	bins   []int32
+	lits   []float32
+	tvalid []bool
+	// work is the reconstruction, in the original layout when the
+	// permutation was fused and transposed to tdims otherwise.
+	work  []float32
+	tdims []int
+	// litEnc is the literals section, coded once for every encode.
+	litEnc []byte
+	// shifted records that a classified encode has shifted bins in place.
+	shifted bool
+}
+
+// errBinsShifted reports an encode after a classified encode of the same
+// unit, whose shifted bins no longer describe the prediction.
+var errBinsShifted = errors.New("core: bins already shifted by a classified encode")
+
+// predictUnit runs one unit's permutation and prediction.
+func predictUnit(data []float32, dims []int, v validity, eb float64,
+	p Pipeline, fill float32, opt Options, m *tuneMemo) (*unitPrediction, error) {
 
 	if err := interrupted(opt.Interrupt); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	validOrig, err := v.bitmap(dims)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	W := opt.workers()
 	// Fused path (default): the permutation and fusion become a Layout the
@@ -368,9 +484,9 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 	if fused {
 		if validOrig != nil {
 			sp := trace.Begin(opt.Trace, "mask")
-			tvalid, err = grid.TransposeWorkers(validOrig, dims, p.Perm, W)
+			tvalid, err = m.transposedValidity(validOrig, dims, p.Perm, W)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			sp.EndFull(int64(len(validOrig)), int64(len(tvalid)), int64(len(tvalid)), nil)
 		}
@@ -381,12 +497,12 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		tdims = grid.PermuteDims(dims, p.Perm)
 		work, err = grid.TransposeWorkers(data, dims, p.Perm, W)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if validOrig != nil {
-			tvalid, err = grid.TransposeWorkers(validOrig, dims, p.Perm, W)
+			tvalid, err = m.transposedValidity(validOrig, dims, p.Perm, W)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		sp.EndFull(int64(len(data))*4, int64(len(work))*4, int64(len(work)), nil)
@@ -403,22 +519,36 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 	sp := trace.Begin(opt.Trace, predName)
 	bins, lits, err := predictSections(work, lay, tvalid, eb, p, fill, opt, P)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sp.Stop() // binStats is trace-only work, not prediction
 	sp.EndFull(int64(len(work))*4, 0, int64(len(bins)), binStats(bins, lits, tvalid, opt.Trace))
 	if err := interrupted(opt.Interrupt); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	return &unitPrediction{
+		dims: dims, v: v, eb: eb, fill: fill, p: p, opt: opt, m: m, P: P,
+		bins: bins, lits: lits, tvalid: tvalid, work: work, tdims: tdims,
+	}, nil
+}
 
+// encode writes the unit's blob with or without classification. A
+// classified encode shifts the bins in place, so it must come last.
+func (u *unitPrediction) encode(classified bool) ([]byte, error) {
+	if u.shifted {
+		return nil, errBinsShifted
+	}
+	p, opt, v, bins, tvalid := u.p, u.opt, u.v, u.bins, u.tvalid
+	p.Classify = classified
+	W := opt.workers()
 	h := header{
 		flags:     maskFlags(v) | fitFlag(p),
-		eb:        eb,
-		fill:      fill,
+		eb:        u.eb,
+		fill:      u.fill,
 		radius:    opt.radius(),
-		dims:      dims,
+		dims:      u.dims,
 		pipe:      p,
-		psections: P,
+		psections: u.P,
 	}
 	if p.Classify {
 		h.flags |= flagClassify
@@ -426,24 +556,25 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 	w := blobWriter{h: h}
 	switch {
 	case v.hm != nil:
-		sp = trace.Begin(opt.Trace, "mask")
+		sp := trace.Begin(opt.Trace, "mask")
 		ms := v.hm.Serialize()
 		w.add(secMask, ms)
 		sp.EndBytes(int64(len(v.hm.Regions))*4, int64(len(ms)))
 	case v.pts != nil:
-		sp = trace.Begin(opt.Trace, "mask")
-		ms := packBitmap(v.pts)
+		sp := trace.Begin(opt.Trace, "mask")
+		ms := u.m.packedMask(v.pts)
 		w.add(secMask, ms)
 		sp.EndBytes(int64(len(v.pts)), int64(len(ms)))
 	}
 	be := opt.Backend
 	if p.Classify {
-		sp = trace.Begin(opt.Trace, "classify")
-		nLat, nLon := latLon(dims)
-		colOf := columnIDs(dims, p.Perm)
+		sp := trace.Begin(opt.Trace, "classify")
+		nLat, nLon := latLon(u.dims)
+		colOf := u.m.columns(u.dims, p.Perm)
 		cls := classify.Analyze(bins, colOf, nLat*nLon, tvalid,
 			classify.Params{Radius: opt.radius(), Lambda: opt.Lambda})
 		classify.ShiftBins(bins, colOf, tvalid, cls)
+		u.shifted = true
 		a, b := classify.Split(bins, colOf, tvalid, cls)
 		meta := classify.PackMeta(cls)
 		w.add(secClassMeta, meta)
@@ -469,7 +600,7 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 			}
 			syms = append(syms, uint32(bin))
 		}
-		sp = trace.Begin(opt.Trace, "entropy")
+		sp := trace.Begin(opt.Trace, "entropy")
 		enc := entropy.EncodeBlockSharded(opt.Entropy, syms, W)
 		sp.Stop()
 		sp.EndFull(int64(len(syms))*4, int64(len(enc)), int64(len(syms)),
@@ -481,25 +612,30 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 		w.add(secBins, ls)
 		sp.EndBytes(int64(len(enc)), int64(len(ls)))
 	}
-	sp = trace.Begin(opt.Trace, "literals")
-	litRaw := float32sToBytes(lits)
-	litEnc := lossless.Encode(be, litRaw)
-	w.add(secLiterals, litEnc)
-	sp.EndFull(int64(len(litRaw)), int64(len(litEnc)), int64(len(lits)), nil)
-	out := w.bytes()
+	sp := trace.Begin(opt.Trace, "literals")
+	if u.litEnc == nil {
+		u.litEnc = lossless.Encode(be, float32sToBytes(u.lits))
+	}
+	w.add(secLiterals, u.litEnc)
+	sp.EndFull(int64(len(u.lits))*4, int64(len(u.litEnc)), int64(len(u.lits)), nil)
+	return w.bytes(), nil
+}
 
-	// The engines reconstructed in place: under the fused layout work is
-	// already in the original array layout, otherwise transpose it back.
-	if fused {
-		return out, work, nil
+// recon returns the unit's reconstruction in the original array layout.
+// The engines reconstructed in place: under the fused layout work already
+// is that, otherwise it is transposed back.
+func (u *unitPrediction) recon() ([]float32, error) {
+	if u.tdims == nil {
+		return u.work, nil
 	}
-	sp = trace.Begin(opt.Trace, "unpermute")
-	recon, err := grid.TransposeWorkers(work, tdims, grid.InversePerm(p.Perm), W)
+	opt := u.opt
+	sp := trace.Begin(opt.Trace, "unpermute")
+	recon, err := grid.TransposeWorkers(u.work, u.tdims, grid.InversePerm(u.p.Perm), opt.workers())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sp.EndFull(int64(len(work))*4, int64(len(recon))*4, int64(len(recon)), nil)
-	return out, recon, nil
+	sp.EndFull(int64(len(u.work))*4, int64(len(recon))*4, int64(len(recon)), nil)
+	return recon, nil
 }
 
 // binStats summarizes the quantization-bin histogram for the trace: distinct

@@ -91,7 +91,7 @@ func PeriodicResidual(ds *dataset.Dataset, period int, tmplPipe Pipeline) ([]flo
 		tv.pts = tmplValid
 	}
 	tp := templatePipeline(tmplPipe, len(tmplDims))
-	_, tmplRecon, err := compressUnit(tmplData, tmplDims, tv, 1e-6, tp, ds.FillValue, Options{})
+	_, tmplRecon, err := compressUnit(tmplData, tmplDims, tv, 1e-6, tp, ds.FillValue, Options{}, nil)
 	if err != nil {
 		return nil, err
 	}

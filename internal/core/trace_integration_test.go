@@ -14,12 +14,14 @@ import (
 func TestTraceHooksNilCollectorAllocs(t *testing.T) {
 	bins := make([]int32, 256)
 	lits := make([]float32, 4)
+	tu := &tuner{memo: newTuneMemo()}
 	allocs := testing.AllocsPerRun(500, func() {
 		sp := trace.Begin(nil, "predict")
 		sp.EndFull(1, 2, 3, binStats(bins, lits, nil, nil))
 		sp = trace.Begin(nil, "entropy")
 		sp.EndFull(0, 0, 0, entropyStats(nil, nil))
 		trace.Begin(trace.Prefixed(nil, "chunk[0]"), "lossless").EndBytes(4, 5)
+		trace.Begin(nil, "tune/search").EndFull(0, 0, 1, tu.stageKVs(nil))
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-collector trace hooks allocate %v times per run", allocs)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -48,7 +49,11 @@ type Candidate struct {
 	Pipe        Pipeline
 	SampleBytes int
 	Ratio       float64 // estimated compression ratio on the sample
-	Duration    time.Duration
+	// Duration is the time spent compressing the candidate on the sample.
+	// A pipeline and its classify twin share one prediction: its time is
+	// charged to whichever of the two the search ran first, and each is
+	// charged its own encode.
+	Duration time.Duration
 }
 
 // TuneReport documents an auto-tuning run.
@@ -330,49 +335,31 @@ func AutoTune(ds *dataset.Dataset, eb float64, tc TuneConfig, opt Options) (Pipe
 	samplePoints := grid.Volume(smp.dims)
 	sp.EndFull(int64(len(ds.Data))*4, int64(samplePoints)*4, int64(samplePoints), nil)
 	sp = trace.Begin(tcol, "tune/search")
+	t := &tuner{eb: eb, fill: ds.FillValue, opt: opt, memo: newTuneMemo()}
 	cands := EnumeratePipelines(len(ds.Dims), period, ds.Mask != nil, tc)
+	results, err := t.run(smp, cands, make([]armResult, len(cands)))
+	if err != nil {
+		return Pipeline{}, nil, err
+	}
 	report := &TuneReport{Period: period, SamplePoints: samplePoints}
 	bestIdx := -1
-	for _, p := range cands {
-		// Poll per candidate, not per stage: compressGeneral swallows
-		// nothing here, but candidate errors are skipped below, so an
-		// interrupt inside a candidate run must be re-raised explicitly.
-		if err := interrupted(opt.Interrupt); err != nil {
-			return Pipeline{}, nil, err
-		}
-		t0 := time.Now()
-		var v validity
-		if p.UseMask {
-			v.pts = smp.valid
-		}
-		blob, _, err := compressGeneral(smp.data, smp.dims, v, eb, p, ds.FillValue, opt)
-		if err != nil {
+	for i, p := range cands {
+		r := results[i]
+		if r.err != nil {
 			continue
-		}
-		// Estimated full-data size per point. For periodic candidates the
-		// template is a fixed cost amortized over the number of cycles: the
-		// sample spans fewer cycles than the full dataset, so scale the
-		// template's contribution by sampleTime/fullTime before ranking —
-		// otherwise short samples systematically undervalue periodicity.
-		effective := float64(len(blob))
-		if p.Period > 0 && smp.dims[0] < ds.Dims[0] {
-			if tmplLen, restLen, ok := periodicSectionSizes(blob); ok {
-				amort := float64(smp.dims[0]) / float64(ds.Dims[0])
-				effective = float64(restLen) + float64(tmplLen)*amort
-			}
 		}
 		c := Candidate{
 			Pipe:        p,
-			SampleBytes: len(blob),
-			Ratio:       float64(samplePoints) * 4 / effective,
-			Duration:    time.Since(t0),
+			SampleBytes: r.size,
+			Ratio:       r.ratio(p, smp.dims, ds.Dims),
+			Duration:    r.dur,
 		}
 		report.Candidates = append(report.Candidates, c)
 		if bestIdx < 0 || c.Ratio > report.Candidates[bestIdx].Ratio {
 			bestIdx = len(report.Candidates) - 1
 		}
 	}
-	sp.EndFull(0, 0, int64(len(report.Candidates)), nil)
+	sp.EndFull(0, 0, int64(len(report.Candidates)), t.stageKVs(tcol))
 	if bestIdx < 0 {
 		return Pipeline{}, nil, fmt.Errorf("core: auto-tuning found no viable pipeline")
 	}
@@ -393,58 +380,56 @@ func AutoTune(ds *dataset.Dataset, eb float64, tc TuneConfig, opt Options) (Pipe
 		// the adaptive loop rather than a one-shot computation).
 		const minPayload = 16384.0
 		refRate := math.Min(rate*8, 1)
+		var probe armResult
 		for attempt := 0; ; attempt++ {
 			refSmp = sampleCentral(ds, refRate, period)
-			var v validity
-			if best.UseMask {
-				v.pts = refSmp.valid
-			}
-			blob, _, err := compressGeneral(refSmp.data, refSmp.dims, v, eb, best, ds.FillValue, opt)
-			if err != nil || refRate >= 1 || attempt >= 3 || float64(len(blob)) >= minPayload {
-				break
-			}
-			grow := minPayload / math.Max(float64(len(blob)), 1)
-			refRate = math.Min(refRate*math.Max(grow, 2), 1)
-		}
-		refPoints := grid.Volume(refSmp.dims)
-		leaders := topCandidates(report.Candidates, 8)
-		refBest := -1.0
-		for _, cand := range leaders {
-			if err := interrupted(opt.Interrupt); err != nil {
+			rs, err := t.compress(refSmp, best)
+			if err != nil {
 				return Pipeline{}, nil, err
 			}
-			var v validity
-			if cand.Pipe.UseMask {
-				v.pts = refSmp.valid
+			probe = rs[0]
+			if probe.err != nil || refRate >= 1 || attempt >= 3 || float64(probe.size) >= minPayload {
+				break
 			}
-			blob, _, err := compressGeneral(refSmp.data, refSmp.dims, v, eb, cand.Pipe, ds.FillValue, opt)
-			if err != nil {
+			grow := minPayload / math.Max(float64(probe.size), 1)
+			refRate = math.Min(refRate*math.Max(grow, 2), 1)
+		}
+		leaders := topCandidates(report.Candidates, 8)
+		ps := make([]Pipeline, len(leaders))
+		res := make([]armResult, len(leaders))
+		for k, c := range leaders {
+			ps[k] = c.Pipe
+			// The last probe already compressed the winner on this sample.
+			// Tuner pipelines carry no template yet, so String identifies them.
+			if probe.err == nil && c.Pipe.String() == best.String() {
+				res[k] = probe
+			}
+		}
+		if res, err = t.run(refSmp, ps, res); err != nil {
+			return Pipeline{}, nil, err
+		}
+		refBest := -1.0
+		for k, p := range ps {
+			if res[k].err != nil {
 				continue
 			}
-			effective := float64(len(blob))
-			if cand.Pipe.Period > 0 && refSmp.dims[0] < ds.Dims[0] {
-				if tmplLen, restLen, ok := periodicSectionSizes(blob); ok {
-					amort := float64(refSmp.dims[0]) / float64(ds.Dims[0])
-					effective = float64(restLen) + float64(tmplLen)*amort
-				}
-			}
-			r := float64(refPoints) * 4 / effective
+			r := res[k].ratio(p, refSmp.dims, ds.Dims)
 			if r > refBest {
 				refBest = r
-				best = cand.Pipe
+				best = p
 				bestRatio = r
 			}
 		}
 	}
-	sp.EndFull(0, 0, int64(grid.Volume(refSmp.dims)), nil)
+	sp.EndFull(0, 0, int64(grid.Volume(refSmp.dims)), t.stageKVs(tcol))
 	if best.Period > 0 {
 		sp = trace.Begin(tcol, "tune/template")
 		// The template is tuned on the refinement sample, not the initial
 		// one: the template section often dominates a periodic blob, and a
 		// sub-pipeline picked on a tiny sample template generalizes badly to
 		// the full field's template (the choice can double the final blob).
-		best.Template = tuneTemplate(refSmp, eb, best, opt)
-		sp.End()
+		best.Template = t.tuneTemplate(refSmp, best)
+		sp.EndFull(0, 0, 0, t.stageKVs(tcol))
 	}
 	// Level-wise error-bound tuning: coarse interpolation levels anchor all
 	// finer predictions, so tightening them (α > 1, capped by β) often buys
@@ -460,21 +445,20 @@ func AutoTune(ds *dataset.Dataset, eb float64, tc TuneConfig, opt Options) (Pipe
 		}
 		p := best
 		p.LevelAlpha = alpha
-		var v validity
-		if p.UseMask {
-			v.pts = refSmp.valid
-		}
-		blob, _, err := compressGeneral(refSmp.data, refSmp.dims, v, eb, p, ds.FillValue, opt)
+		rs, err := t.compress(refSmp, p)
 		if err != nil {
+			return Pipeline{}, nil, err
+		}
+		if rs[0].err != nil {
 			continue
 		}
-		r := float64(refPoints) * 4 / float64(len(blob))
+		r := float64(refPoints) * 4 / float64(rs[0].size)
 		if r > alphaRatio {
 			alphaRatio = r
 			bestAlpha = alpha
 		}
 	}
-	sp.End()
+	sp.EndFull(0, 0, 0, t.stageKVs(tcol))
 	// tuneTemplate aborts best-effort (it has no error path), so re-check
 	// here: a canceled AutoTune must not hand back a half-tuned pipeline.
 	if err := interrupted(opt.Interrupt); err != nil {
@@ -485,6 +469,280 @@ func AutoTune(ds *dataset.Dataset, eb float64, tc TuneConfig, opt Options) (Pipe
 	report.BestRatio = bestRatio
 	report.TotalDuration = time.Since(start)
 	return best, report, nil
+}
+
+// tuner holds what one AutoTune call shares between its candidate runs.
+type tuner struct {
+	eb   float64
+	fill float32
+	opt  Options
+	memo *tuneMemo
+	// predicts and encodes count the runs since the last stageKVs.
+	predicts, encodes int
+}
+
+// armResult is one pipeline's compression of a tuning sample.
+type armResult struct {
+	size    int
+	tmplLen int // size of a periodic blob's template section; -1 otherwise
+	dur     time.Duration
+	err     error
+	done    bool
+}
+
+// ratio estimates the full-data compression ratio from a sample blob. For
+// periodic candidates the template is a fixed cost amortized over the
+// number of cycles: the sample spans fewer cycles than the full dataset, so
+// scale the template's contribution by sampleTime/fullTime before ranking —
+// otherwise short samples systematically undervalue periodicity.
+func (r armResult) ratio(p Pipeline, smpDims, fullDims []int) float64 {
+	effective := float64(r.size)
+	if p.Period > 0 && smpDims[0] < fullDims[0] && r.tmplLen >= 0 {
+		amort := float64(smpDims[0]) / float64(fullDims[0])
+		effective = float64(r.size-r.tmplLen) + float64(r.tmplLen)*amort
+	}
+	return float64(grid.Volume(smpDims)) * 4 / effective
+}
+
+// run compresses every pipeline of ps on smp into res, in ps's order,
+// keeping the entries already done. A pipeline and its classify twin (see
+// classifyTwins) run as one pair on a single prediction. The returned error
+// is an interrupt; a candidate's own failure is recorded in its entry.
+func (t *tuner) run(smp sample, ps []Pipeline, res []armResult) ([]armResult, error) {
+	twin := classifyTwins(ps)
+	for i := range ps {
+		if res[i].done {
+			continue
+		}
+		// Poll per candidate, not per stage: candidate errors are recorded
+		// and skipped, so an interrupt must surface here.
+		if err := interrupted(t.opt.Interrupt); err != nil {
+			return nil, err
+		}
+		j := twin[i]
+		if j < 0 || res[j].done {
+			rs, err := t.compress(smp, ps[i])
+			if err != nil {
+				return nil, err
+			}
+			res[i] = rs[0]
+			continue
+		}
+		rs, err := t.compress(smp, ps[i], ps[j])
+		if err != nil {
+			return nil, err
+		}
+		res[i], res[j] = rs[0], rs[1]
+	}
+	return res, nil
+}
+
+// compress runs arms, one pipeline or a classify twin pair, on smp from a
+// single prediction and returns their results in order. The prediction's
+// time is charged to the first arm, and each arm its own encode. The
+// returned error is an interrupt, polled between the two encodes too.
+func (t *tuner) compress(smp sample, arms ...Pipeline) ([]armResult, error) {
+	res := make([]armResult, len(arms))
+	t0 := time.Now()
+	var v validity
+	if arms[0].UseMask {
+		v.pts = smp.valid
+	}
+	pr, err := predictGeneral(smp.data, smp.dims, v, t.eb, arms[0], t.fill, t.opt, t.memo)
+	t.predicts++
+	if errors.Is(err, ErrInterrupted) {
+		return nil, err
+	}
+	if err != nil {
+		for k := range res {
+			res[k] = armResult{err: err, done: true}
+		}
+		return res, nil
+	}
+	shared := time.Since(t0)
+	order := []int{0, 1}[:len(arms)]
+	if len(arms) == 2 && arms[0].Classify {
+		order = []int{1, 0} // a classified encode shifts the bins in place
+	}
+	for n, k := range order {
+		if n > 0 {
+			if err := interrupted(t.opt.Interrupt); err != nil {
+				return nil, err
+			}
+		}
+		t1 := time.Now()
+		blob, err := pr.encode(arms[k].Classify)
+		t.encodes++
+		r := armResult{size: len(blob), tmplLen: -1, err: err, done: true, dur: time.Since(t1)}
+		if k == 0 {
+			r.dur += shared
+		}
+		if err == nil && arms[k].Period > 0 {
+			if tmplLen, _, ok := periodicSectionSizes(blob); ok {
+				r.tmplLen = tmplLen
+			}
+		}
+		res[k] = r
+	}
+	return res, nil
+}
+
+// stageKVs reports, for a tuner stage's span, the predictions, encodes and
+// memo hits since the previous report, and restarts the counts. It
+// allocates nothing without a collector.
+func (t *tuner) stageKVs(c trace.Collector) []trace.KV {
+	predicts, encodes, hits := t.predicts, t.encodes, t.memo.hits
+	t.predicts, t.encodes, t.memo.hits = 0, 0, 0
+	if c == nil {
+		return nil
+	}
+	return []trace.KV{
+		{Key: "predict_runs", Value: float64(predicts)},
+		{Key: "encodes", Value: float64(encodes)},
+		{Key: "memo_hits", Value: float64(hits)},
+	}
+}
+
+// classifyTwins maps each pipeline of ps to the index of its classify twin
+// (the same pipeline with Classify flipped) in ps, or -1. Tuner pipelines
+// carry no template, so String identifies them.
+func classifyTwins(ps []Pipeline) []int {
+	at := make(map[string]int, len(ps))
+	for i, p := range ps {
+		at[p.String()] = i
+	}
+	twin := make([]int, len(ps))
+	for i, p := range ps {
+		p.Classify = !p.Classify
+		j, ok := at[p.String()]
+		if !ok {
+			j = -1
+		}
+		twin[i] = j
+	}
+	return twin
+}
+
+// tuneMemo keeps, for one AutoTune call, the work no candidate changes:
+// the packed mask section of each validity slice, the transposed validity
+// of each (validity slice, permutation), the column ids of each (dims,
+// permutation) and the template data of each (sample, period). Entries are
+// keyed by the identity of the slice they derive from; the tuner never
+// mutates its samples, and a key holds its slice alive, so an address
+// cannot be reused for other contents while the memo lives. Keys number at
+// most permutations × samples. A nil memo computes everything afresh. Not
+// safe for concurrent use.
+type tuneMemo struct {
+	masks     map[sliceKey][]byte
+	tvalid    map[shapedKey][]bool
+	cols      map[string][]int32
+	templates map[templateKey]templateData
+	hits      int
+}
+
+func newTuneMemo() *tuneMemo {
+	return &tuneMemo{
+		masks:     make(map[sliceKey][]byte),
+		tvalid:    make(map[shapedKey][]bool),
+		cols:      make(map[string][]int32),
+		templates: make(map[templateKey]templateData),
+	}
+}
+
+type sliceKey struct {
+	first *bool
+	n     int
+}
+
+// keyOf identifies a nonempty validity slice; nil and empty ones share the
+// zero key, as their contents agree.
+func keyOf(v []bool) sliceKey {
+	if len(v) == 0 {
+		return sliceKey{}
+	}
+	return sliceKey{&v[0], len(v)}
+}
+
+type shapedKey struct {
+	valid sliceKey
+	shape string // dims and permutation
+}
+
+type templateKey struct {
+	data   *float32
+	n      int
+	valid  sliceKey
+	period int
+	fill   uint32
+}
+
+type templateData struct {
+	data  []float32
+	dims  []int
+	valid []bool
+}
+
+// packedMask returns packBitmap(v).
+func (m *tuneMemo) packedMask(v []bool) []byte {
+	if m == nil {
+		return packBitmap(v)
+	}
+	k := keyOf(v)
+	if ms, ok := m.masks[k]; ok {
+		m.hits++
+		return ms
+	}
+	ms := packBitmap(v)
+	m.masks[k] = ms
+	return ms
+}
+
+// transposedValidity returns valid (of shape dims) transposed by perm.
+func (m *tuneMemo) transposedValidity(valid []bool, dims, perm []int, workers int) ([]bool, error) {
+	if m == nil {
+		return grid.TransposeWorkers(valid, dims, perm, workers)
+	}
+	k := shapedKey{keyOf(valid), fmt.Sprint(dims, perm)}
+	if tv, ok := m.tvalid[k]; ok {
+		m.hits++
+		return tv, nil
+	}
+	tv, err := grid.TransposeWorkers(valid, dims, perm, workers)
+	if err != nil {
+		return nil, err
+	}
+	m.tvalid[k] = tv
+	return tv, nil
+}
+
+// columns returns columnIDs(dims, perm).
+func (m *tuneMemo) columns(dims, perm []int) []int32 {
+	if m == nil {
+		return columnIDs(dims, perm)
+	}
+	k := fmt.Sprint(dims, perm)
+	if cols, ok := m.cols[k]; ok {
+		m.hits++
+		return cols
+	}
+	cols := columnIDs(dims, perm)
+	m.cols[k] = cols
+	return cols
+}
+
+// template returns buildTemplate(data, dims, valid, period, fill).
+func (m *tuneMemo) template(data []float32, dims []int, valid []bool, period int, fill float32) ([]float32, []int, []bool) {
+	if m == nil || len(data) == 0 {
+		return buildTemplate(data, dims, valid, period, fill)
+	}
+	k := templateKey{&data[0], len(data), keyOf(valid), period, math.Float32bits(fill)}
+	if t, ok := m.templates[k]; ok {
+		m.hits++
+		return t.data, t.dims, t.valid
+	}
+	td, tdims, tvalid := buildTemplate(data, dims, valid, period, fill)
+	m.templates[k] = templateData{td, tdims, tvalid}
+	return td, tdims, tvalid
 }
 
 // topCandidates returns the k best candidates by estimated ratio, plus the
@@ -537,7 +795,7 @@ func periodicSectionSizes(blob []byte) (tmplLen, restLen int, ok bool) {
 // tuneTemplate picks the best sub-pipeline for the template data (paper
 // Table IV notes the template pipeline is tuned separately). It tests
 // perm × fusion × fitting on the template extracted from the sample.
-func tuneTemplate(smp sample, eb float64, outer Pipeline, opt Options) *Pipeline {
+func (t *tuner) tuneTemplate(smp sample, outer Pipeline) *Pipeline {
 	if smp.dims[0] < outer.Period {
 		return nil
 	}
@@ -545,7 +803,7 @@ func tuneTemplate(smp sample, eb float64, outer Pipeline, opt Options) *Pipeline
 	if outer.UseMask {
 		valid = smp.valid
 	}
-	tmplData, tmplDims, tmplValid := buildTemplate(smp.data, smp.dims, valid, outer.Period, datagenFill)
+	tmplData, tmplDims, tmplValid := t.memo.template(smp.data, smp.dims, valid, outer.Period, datagenFill)
 	var tv validity
 	if tmplValid != nil {
 		tv.pts = tmplValid
@@ -554,13 +812,19 @@ func tuneTemplate(smp sample, eb float64, outer Pipeline, opt Options) *Pipeline
 	var best *Pipeline
 	bestBytes := 0
 	for _, perm := range grid.Permutations(rank) {
-		if interrupted(opt.Interrupt) != nil {
+		if interrupted(t.opt.Interrupt) != nil {
 			return nil
 		}
 		for _, fus := range grid.Compositions(rank) {
 			for _, fit := range []predict.Fitting{predict.Linear, predict.Cubic} {
 				p := Pipeline{Perm: perm, Fusion: fus, Fitting: fit, UseMask: tmplValid != nil}
-				blob, _, err := compressUnit(tmplData, tmplDims, tv, eb, p, datagenFill, opt)
+				u, err := predictUnit(tmplData, tmplDims, tv, t.eb, p, datagenFill, t.opt, t.memo)
+				t.predicts++
+				if err != nil {
+					continue
+				}
+				blob, err := u.encode(false)
+				t.encodes++
 				if err != nil {
 					continue
 				}

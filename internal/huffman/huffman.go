@@ -7,10 +7,11 @@
 package huffman
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -87,41 +88,6 @@ func (c *Codec) buildLUT() {
 	c.lut = lut
 }
 
-type hnode struct {
-	freq  uint64
-	depth int // prefer shallow trees on frequency ties
-	seq   int // creation order: the final, total-order tie-break
-	idx   int // leaf: index of its symbol in ascending symbol order
-	leaf  bool
-	l, r  *hnode
-}
-
-type hheap []*hnode
-
-func (h hheap) Len() int { return len(h) }
-
-// Less is a strict total order (seq is unique), which makes the heap's pop
-// sequence — and therefore the tree shape and every code length — fully
-// deterministic: leaves take their seq in ascending symbol order.
-func (h hheap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	if h[i].depth != h[j].depth {
-		return h[i].depth < h[j].depth
-	}
-	return h[i].seq < h[j].seq
-}
-func (h hheap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *hheap) Push(x any)   { *h = append(*h, x.(*hnode)) }
-func (h *hheap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Build counts symbols and constructs their canonical length-limited
 // codec. An empty input yields a codec that can encode nothing; a
 // single-symbol alphabet gets a 1-bit code. The codec's encode table lives
@@ -153,48 +119,82 @@ func buildLengths(freqs []uint64) []uint8 {
 }
 
 // huffLengths writes into lens[i] the Huffman tree depth of the symbol with
-// frequency freqs[i], saturated at 255 (anything past MaxCodeLen is damped
-// anyway).
+// frequency freqs[i] (all nonzero), saturated at 255 (anything past
+// MaxCodeLen is damped anyway).
+//
+// The tree is the one a priority queue ordered by (freq, depth, seq) builds,
+// where depth is a node's height, seq its creation order and leaves take
+// their seq in ascending symbol order. That order is total, so the tree and
+// every length are fully determined. It is built in linear time after one
+// sort by the two-queue method: leaves sorted by (freq, symbol index) form
+// one queue, and merged nodes are appended to a second in creation order.
+// Every merge outweighs both nodes it consumes, so the merged nodes come out
+// in (freq, depth, seq) order already: two with equal freq were merged from
+// four equal-freq nodes taken in order, so the later one is no shallower.
+// Taking the smaller head of the two queues therefore pops exactly what the
+// priority queue would, and on a frequency tie the leaf goes first, since
+// its depth is 0 and a merged node's is at least 1.
 func huffLengths(freqs []uint64, lens []uint8) {
-	switch len(freqs) {
+	n := len(freqs)
+	switch n {
 	case 0:
 		return
 	case 1:
 		lens[0] = 1
 		return
 	}
-	// All 2k-1 tree nodes live in one arena; its capacity is exact, so the
-	// pointers into it stay valid.
-	nodes := make([]hnode, 0, 2*len(freqs)-1)
-	h := make(hheap, 0, len(freqs))
-	seq := 0
-	for i, f := range freqs {
-		nodes = append(nodes, hnode{freq: f, seq: seq, idx: i, leaf: true})
-		h = append(h, &nodes[len(nodes)-1])
-		seq++
-	}
-	heap.Init(&h)
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*hnode)
-		b := heap.Pop(&h).(*hnode)
-		d := a.depth
-		if b.depth > d {
-			d = b.depth
+	// Sort the leaves by (freq, symbol index). Packing both into one key
+	// lets the ordered sort run without a comparator; symhist's counts always
+	// fit, and only a hand-built table of huge frequencies takes the slow path.
+	shift := bits.Len(uint(n - 1))
+	order := make([]uint64, n)
+	if slices.Max(freqs) < 1<<(64-shift) {
+		for i, f := range freqs {
+			order[i] = f<<shift | uint64(i)
 		}
-		nodes = append(nodes, hnode{freq: a.freq + b.freq, depth: d + 1, seq: seq, l: a, r: b})
-		heap.Push(&h, &nodes[len(nodes)-1])
-		seq++
-	}
-	var walk func(n *hnode, d int)
-	walk = func(n *hnode, d int) {
-		if n.leaf {
-			lens[n.idx] = uint8(min(d, 255))
-			return
+		slices.Sort(order)
+	} else {
+		for i := range order {
+			order[i] = uint64(i)
 		}
-		walk(n.l, d+1)
-		walk(n.r, d+1)
+		slices.SortFunc(order, func(a, b uint64) int {
+			if c := cmp.Compare(freqs[a], freqs[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
 	}
-	walk(h[0], 0)
+	idxMask := uint64(1)<<shift - 1
+	// Nodes 0..n-1 are the leaves by symbol index, node n+k the k-th merge.
+	// up[v] holds v's parent until the depth pass overwrites the merged
+	// nodes' entries with their depth.
+	up := make([]int, 2*n-1)
+	merged := make([]uint64, n-1)
+	leaf, next := 0, 0 // heads of the leaf and merged queues
+	pop := func(k int) (int, uint64) {
+		if leaf < n && (next == k || freqs[order[leaf]&idxMask] <= merged[next]) {
+			v := int(order[leaf] & idxMask)
+			leaf++
+			return v, freqs[v]
+		}
+		next++
+		return n + next - 1, merged[next-1]
+	}
+	for k := 0; k < n-1; k++ {
+		a, fa := pop(k)
+		b, fb := pop(k)
+		merged[k] = fa + fb
+		up[a], up[b] = n+k, n+k
+	}
+	// Merges are created after their children, so walking them root first
+	// sees every parent's depth before its children need it.
+	up[2*n-2] = 0
+	for v := 2*n - 3; v >= n; v-- {
+		up[v] = up[up[v]] + 1
+	}
+	for i := range lens {
+		lens[i] = uint8(min(up[up[i]]+1, 255))
+	}
 }
 
 // fromLengths assigns canonical codes given the code length of every symbol
