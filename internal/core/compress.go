@@ -256,33 +256,19 @@ func predictPeriodic(data []float32, dims []int, v validity, eb float64,
 	if err != nil {
 		return nil, err
 	}
-	sp := trace.Begin(opt.Trace, "template-build")
-	tmplData, tmplDims, tmplValid := m.template(data, dims, valid, p.Period, fill)
-	sp.EndFull(int64(len(data))*4, int64(len(tmplData))*4, int64(len(tmplData)), nil)
-	tv := validity{}
-	if v.hm != nil && len(dims) >= 3 {
-		tv.hm = v.hm // horizontal masks broadcast identically over phases
-	} else if tmplValid != nil {
-		// Point-mask inputs — or a rank-2 mask, which would span the time
-		// axis — carry the template's own validity bitmap instead.
-		tv.pts = tmplValid
-	}
-	tp := templatePipeline(p, len(tmplDims))
-	topt := opt
-	topt.Trace = trace.Prefixed(opt.Trace, "template")
-	tmplBlob, tmplRecon, err := compressUnit(tmplData, tmplDims, tv, eb, tp, fill, topt, m)
+	tp := templatePipeline(p, len(dims))
+	tmpl, err := m.periodicTemplate(data, valid, p, tp, eb, fill, func() (*templateOut, error) {
+		return compressTemplate(data, dims, v, valid, eb, p.Period, tp, fill, opt, m)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: template: %w", err)
+		return nil, err
 	}
-	sp = trace.Begin(opt.Trace, "residual-build")
-	residual := subtractTemplate(data, tmplRecon, dims, p.Period, valid, fill)
-	sp.EndFull(int64(len(data))*4, int64(len(residual))*4, int64(len(residual)), nil)
+	tmplBlob, tmplRecon, residual, slack := tmpl.blob, tmpl.recon, tmpl.residual, tmpl.slack
 	// The decoder composes fl32(residual′ + template), and the residual
 	// itself is fl32(data − template): two float32 roundings the residual's
 	// verified bound does not see. Budget them out of the residual's error
 	// bound; if the bound is too tight to afford the slack, periodic
 	// extraction cannot guarantee it — fall back to direct compression.
-	slack := compositionSlack(data, tmplRecon, dims, p.Period, valid)
 	if slack >= eb/2 {
 		up := p
 		up.Period = 0
@@ -314,6 +300,50 @@ func predictPeriodic(data []float32, dims []int, v validity, eb float64,
 	return &prediction{unit: u, per: &periodicParts{
 		h: h, tmplBlob: tmplBlob, tmplRecon: tmplRecon, valid: valid,
 	}}, nil
+}
+
+// templateOut is a periodic unit's compressed template and what derives
+// from its reconstruction: the residual to compress and the composition
+// slack (see predictPeriodic).
+type templateOut struct {
+	blob     []byte
+	recon    []float32
+	residual []float32
+	slack    float64
+}
+
+// compressTemplate builds the template (the per-phase mean) of data,
+// compresses it with pipeline tp, and forms the residual against its lossy
+// reconstruction.
+func compressTemplate(data []float32, dims []int, v validity, valid []bool, eb float64,
+	period int, tp Pipeline, fill float32, opt Options, m *tuneMemo) (*templateOut, error) {
+
+	sp := trace.Begin(opt.Trace, "template-build")
+	tmplData, tmplDims, tmplValid := m.template(data, dims, valid, period, fill)
+	sp.EndFull(int64(len(data))*4, int64(len(tmplData))*4, int64(len(tmplData)), nil)
+	tv := validity{}
+	if v.hm != nil && len(dims) >= 3 {
+		tv.hm = v.hm // horizontal masks broadcast identically over phases
+	} else if tmplValid != nil {
+		// Point-mask inputs — or a rank-2 mask, which would span the time
+		// axis — carry the template's own validity bitmap instead.
+		tv.pts = tmplValid
+	}
+	topt := opt
+	topt.Trace = trace.Prefixed(opt.Trace, "template")
+	blob, recon, err := compressUnit(tmplData, tmplDims, tv, eb, tp, fill, topt, m)
+	if err != nil {
+		return nil, fmt.Errorf("core: template: %w", err)
+	}
+	sp = trace.Begin(opt.Trace, "residual-build")
+	residual := subtractTemplate(data, recon, dims, period, valid, fill)
+	sp.EndFull(int64(len(data))*4, int64(len(residual))*4, int64(len(residual)), nil)
+	return &templateOut{
+		blob:     blob,
+		recon:    recon,
+		residual: residual,
+		slack:    compositionSlack(data, recon, dims, period, valid),
+	}, nil
 }
 
 // compositionSlack bounds the float32 rounding the periodic composition
@@ -426,6 +456,11 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 	if err != nil {
 		return nil, nil, err
 	}
+	if m != nil && u.tdims == nil {
+		// recon is the memo's scratch work buffer, which the next unit
+		// reuses; the template reconstruction outlives it.
+		recon = slices.Clone(recon)
+	}
 	return blob, recon, nil
 }
 
@@ -490,8 +525,7 @@ func predictUnit(data []float32, dims []int, v validity, eb float64,
 			}
 			sp.EndFull(int64(len(validOrig)), int64(len(tvalid)), int64(len(tvalid)), nil)
 		}
-		work = make([]float32, len(data))
-		copy(work, data)
+		work = m.workCopy(data)
 	} else {
 		sp := trace.Begin(opt.Trace, "permute")
 		tdims = grid.PermuteDims(dims, p.Perm)
@@ -517,7 +551,8 @@ func predictUnit(data []float32, dims []int, v validity, eb float64,
 		predName = "predict-fanout"
 	}
 	sp := trace.Begin(opt.Trace, predName)
-	bins, lits, err := predictSections(work, lay, tvalid, eb, p, fill, opt, P)
+	bins := m.binsBuffer(len(work))
+	lits, err := predictSections(work, bins, lay, tvalid, eb, p, fill, opt, P)
 	if err != nil {
 		return nil, err
 	}

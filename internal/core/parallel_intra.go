@@ -70,18 +70,17 @@ func sectionBounds(n, k int) []int {
 }
 
 // predictSections runs prediction+quantization over P contiguous sections of
-// the (logically) fused grid, writing bins into a global slice and returning
-// the concatenated literal stream. The engines run in place on work, which
-// holds the original values at lay's physical positions on entry and the
-// reconstruction on exit. Sections cut the leading logical axis, so their
+// the (logically) fused grid, writing bins into the global slice bins (one
+// per point) and returning the concatenated literal stream. The engines run
+// in place on work, which holds the original values at lay's physical
+// positions on entry and the reconstruction on exit. Sections cut the leading logical axis, so their
 // physical footprints are disjoint and the engines never race. P==1 degrades
 // to one engine over the whole grid on the calling goroutine.
-func predictSections(work []float32, lay grid.Layout, tvalid []bool, eb float64,
-	p Pipeline, fill float32, opt Options, P int) ([]int32, []float32, error) {
+func predictSections(work []float32, bins []int32, lay grid.Layout, tvalid []bool, eb float64,
+	p Pipeline, fill float32, opt Options, P int) ([]float32, error) {
 
 	fdims := lay.Dims
 	vol := grid.Volume(fdims)
-	bins := make([]int32, vol)
 	bounds := sectionBounds(fdims[0], P)
 	nSec := len(bounds) - 1
 	plane := vol / fdims[0]
@@ -127,7 +126,7 @@ func predictSections(work []float32, lay grid.Layout, tvalid []bool, eb float64,
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	var lits []float32
@@ -143,7 +142,7 @@ func predictSections(work []float32, lay grid.Layout, tvalid []bool, eb float64,
 			lits = append(lits, l...)
 		}
 	}
-	return bins, lits, nil
+	return lits, nil
 }
 
 // reconstructSections reverses predictSections: the same partition (P from

@@ -587,18 +587,19 @@ func (t *tuner) compress(smp sample, arms ...Pipeline) ([]armResult, error) {
 	return res, nil
 }
 
-// stageKVs reports, for a tuner stage's span, the predictions, encodes and
-// memo hits since the previous report, and restarts the counts. It
-// allocates nothing without a collector.
+// stageKVs reports, for a tuner stage's span, the predictions, encodes,
+// template compressions and memo hits since the previous report, and
+// restarts the counts. It allocates nothing without a collector.
 func (t *tuner) stageKVs(c trace.Collector) []trace.KV {
-	predicts, encodes, hits := t.predicts, t.encodes, t.memo.hits
-	t.predicts, t.encodes, t.memo.hits = 0, 0, 0
+	predicts, encodes, tmpls, hits := t.predicts, t.encodes, t.memo.templateRuns, t.memo.hits
+	t.predicts, t.encodes, t.memo.templateRuns, t.memo.hits = 0, 0, 0, 0
 	if c == nil {
 		return nil
 	}
 	return []trace.KV{
 		{Key: "predict_runs", Value: float64(predicts)},
 		{Key: "encodes", Value: float64(encodes)},
+		{Key: "template_runs", Value: float64(tmpls)},
 		{Key: "memo_hits", Value: float64(hits)},
 	}
 }
@@ -626,18 +627,28 @@ func classifyTwins(ps []Pipeline) []int {
 // tuneMemo keeps, for one AutoTune call, the work no candidate changes:
 // the packed mask section of each validity slice, the transposed validity
 // of each (validity slice, permutation), the column ids of each (dims,
-// permutation) and the template data of each (sample, period). Entries are
-// keyed by the identity of the slice they derive from; the tuner never
-// mutates its samples, and a key holds its slice alive, so an address
-// cannot be reused for other contents while the memo lives. Keys number at
-// most permutations × samples. A nil memo computes everything afresh. Not
-// safe for concurrent use.
+// permutation), the template data of each (sample, period) and the
+// compressed tuned template with its residual of each (sample, period,
+// template pipeline, bound, fill). Entries are keyed by the identity of the slice
+// they derive from; the tuner never mutates its samples, and a key holds
+// its slice alive, so an address cannot be reused for other contents while
+// the memo lives. Keys number at most permutations × samples (× template
+// pipelines for the compressed templates). It also owns the scratch pair
+// every unit is predicted in (workCopy, binsBuffer). A nil memo computes
+// everything afresh. Not safe for concurrent use.
 type tuneMemo struct {
 	masks     map[sliceKey][]byte
 	tvalid    map[shapedKey][]bool
 	cols      map[string][]int32
 	templates map[templateKey]templateData
+	parts     map[partsKey]*templateOut
 	hits      int
+	// templateRuns counts the template compressions, which predict_runs
+	// leaves out.
+	templateRuns int
+	// work and bins are the scratch pair.
+	work []float32
+	bins []int32
 }
 
 func newTuneMemo() *tuneMemo {
@@ -646,7 +657,43 @@ func newTuneMemo() *tuneMemo {
 		tvalid:    make(map[shapedKey][]bool),
 		cols:      make(map[string][]int32),
 		templates: make(map[templateKey]templateData),
+		parts:     make(map[partsKey]*templateOut),
 	}
+}
+
+// workCopy returns a copy of data to predict a unit in place. With a memo
+// it is the memo's scratch work buffer, which the next call overwrites: the
+// unit must be encoded before the next unit is predicted, and nothing that
+// outlives that may alias it.
+func (m *tuneMemo) workCopy(data []float32) []float32 {
+	var work []float32
+	if m == nil {
+		work = make([]float32, len(data))
+	} else {
+		m.work = grow(m.work, len(data))
+		work = m.work
+	}
+	copy(work, data)
+	return work
+}
+
+// binsBuffer returns a bins buffer of n entries, under the same terms as
+// workCopy. Its contents are stale: the engines write every bin.
+func (m *tuneMemo) binsBuffer(n int) []int32 {
+	if m == nil {
+		return make([]int32, n)
+	}
+	m.bins = grow(m.bins, n)
+	return m.bins
+}
+
+// grow returns buf resized to n, reallocated only when its capacity is
+// short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 type sliceKey struct {
@@ -680,6 +727,49 @@ type templateData struct {
 	data  []float32
 	dims  []int
 	valid []bool
+}
+
+// partsKey identifies a compressed template: the sample's data and
+// validity, the period, the template pipeline, the bound and the fill.
+type partsKey struct {
+	data   *float32
+	n      int
+	valid  sliceKey
+	period int
+	pipe   string
+	eb     uint64
+	fill   uint32
+}
+
+// periodicTemplate returns compute(), the compressed template and residual
+// of data for periodic pipeline p, whose template pipeline is tp. A tuned
+// template (p.Template) recurs: the α ladder reruns the same periodic
+// pipeline once per α, and tp does not carry the outer α, so every run
+// after the first finds it here. Without one, tp derives from p itself,
+// which the search does not repeat, so it is computed and not kept.
+func (m *tuneMemo) periodicTemplate(data []float32, valid []bool, p, tp Pipeline,
+	eb float64, fill float32, compute func() (*templateOut, error)) (*templateOut, error) {
+
+	if m == nil {
+		return compute()
+	}
+	if p.Template == nil || len(data) == 0 {
+		m.templateRuns++
+		return compute()
+	}
+	k := partsKey{&data[0], len(data), keyOf(valid), p.Period, tp.String(),
+		math.Float64bits(eb), math.Float32bits(fill)}
+	if t, ok := m.parts[k]; ok {
+		m.hits++
+		return t, nil
+	}
+	m.templateRuns++
+	t, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	m.parts[k] = t
+	return t, nil
 }
 
 // packedMask returns packBitmap(v).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"cliz/internal/trace"
@@ -197,5 +198,83 @@ func TestTuneStageCounters(t *testing.T) {
 				t.Fatalf("refine encoded less than it predicted: %v", refine)
 			}
 		})
+	}
+}
+
+// TestAlphaLadderCompressesTemplateOnce: the α ladder reruns the periodic
+// winner once per LevelAlphas entry, and the tuned template pipeline does
+// not carry α, so the ladder compresses the template once and finds it in
+// the memo on every later run.
+func TestAlphaLadderCompressesTemplateOnce(t *testing.T) {
+	ds := smallSSH()
+	var rec trace.Recorder
+	best, _, err := AutoTune(ds, ds.AbsErrorBound(1e-2), TuneConfig{}, Options{Trace: &rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Period == 0 || best.Template == nil {
+		t.Fatalf("fixture tuned to %s, want a periodic winner with a tuned template", best)
+	}
+	for _, s := range rec.Stages() {
+		if s.Name != "tune/alpha" {
+			continue
+		}
+		kv := map[string]float64{}
+		for _, e := range s.Extra {
+			kv[e.Key] = e.Value
+		}
+		if kv["predict_runs"] != float64(len(LevelAlphas)) || kv["template_runs"] != 1 {
+			t.Fatalf("alpha stage counters %v, want %d predictions and 1 template compression",
+				kv, len(LevelAlphas))
+		}
+		return
+	}
+	t.Fatal("no tune/alpha stage recorded")
+}
+
+// TestScratchOutlivesNoResult predicts periodic candidates through one memo,
+// whose scratch pair every unit reuses. A prediction's reconstruction must
+// match the direct compress path's while it is current, and the template
+// reconstruction it holds must survive the next candidates unchanged.
+func TestScratchOutlivesNoResult(t *testing.T) {
+	ds := smallSSH()
+	period := DetectPeriod(ds, 0)
+	smp := sampleConcat(ds, 0.01, period)
+	eb := ds.AbsErrorBound(1e-2)
+	v := validity{pts: smp.valid}
+	memo := newTuneMemo()
+	var held [][]float32 // template reconstructions, with copies
+	var want [][]float32
+	for _, p := range EnumeratePipelines(3, period, true, TuneConfig{DisableClassify: true}) {
+		if p.Period == 0 || len(held) == 12 {
+			continue
+		}
+		pr, err := predictGeneral(smp.data, smp.dims, v, eb, p, ds.FillValue, Options{}, memo)
+		if err != nil {
+			t.Fatalf("[%s] %v", p, err)
+		}
+		got, err := pr.recon()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, direct, err := compressGeneral(smp.data, smp.dims, v, eb, p, ds.FillValue, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, direct) {
+			t.Fatalf("[%s] reconstruction differs from the direct path", p)
+		}
+		if pr.per != nil {
+			held = append(held, pr.per.tmplRecon)
+			want = append(want, slices.Clone(pr.per.tmplRecon))
+		}
+	}
+	if len(held) == 0 {
+		t.Fatal("no periodic prediction")
+	}
+	for i := range held {
+		if !slices.Equal(held[i], want[i]) {
+			t.Fatalf("template reconstruction %d changed under later candidates", i)
+		}
 	}
 }

@@ -18,17 +18,32 @@
 //   - Per-level error bounds (QoZ): Config.LevelEBFactor scales the error
 //     bound per level; factors ≤ 1 keep the global bound intact.
 //
-// The engine traverses a *logical* grid while addressing values through a
+// The engine indexes a *logical* grid while addressing values through a
 // grid.Layout, so a dimension permutation can be fused into the index
-// arithmetic instead of materializing a transposed copy. The logical
-// traversal order — and with it the bin and literal streams — is identical
-// either way.
+// arithmetic instead of materializing a transposed copy. Bins are stored in
+// logical row-major order and literals in the literal order below, so both
+// streams are identical either way.
+//
+// Within one (level, dimension d) pass no target references another, so a
+// pass may visit its targets in any order. The engine visits them in
+// physical memory order: the innermost loop runs along the logical
+// dimension with the smallest physical stride, the others nest by
+// decreasing stride. The literal stream does not follow the visit order: a
+// pass's literals are in (line, x) order — lines of the pass ordered
+// row-major over the dimensions other than d, x the coordinate along d —
+// and the passes follow each other from the coarsest level to the finest
+// and from dimension 0 up. The encoder buffers a pass's literal targets and
+// emits them in that order at the end of the pass; the decoder defers its
+// bin-0 targets and fills them from the stream in the same order.
 package interp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"cliz/internal/grid"
 	"cliz/internal/predict"
@@ -64,8 +79,8 @@ type Result struct {
 	// Bins holds one quantization bin per grid point in row-major grid
 	// order. Masked positions hold 0 and must be skipped when serializing.
 	Bins []int32
-	// Literals holds the exact values of unpredictable points in traversal
-	// order.
+	// Literals holds the exact values of unpredictable points in literal
+	// order (see the package comment).
 	Literals []float32
 	// Recon is the reconstructed data (what the decompressor will produce),
 	// useful for distortion metrics without a decode pass.
@@ -98,6 +113,28 @@ type engine struct {
 	cfg      Config
 	work     []float32 // reconstructed values, evolves during the run
 
+	// order lists the logical dimensions by decreasing physical stride
+	// (extent-1 dimensions first): the loop nest of every pass, innermost
+	// last.
+	order []int
+	// Per-dimension scratch of the running pass, indexed by logical
+	// dimension: target count, logical and physical target step, literal
+	// key weight and the loop position.
+	cnt, lstep, pstep, kw, pos []int
+
+	// The running pass: the extent of its dimension d, the logical and
+	// physical reference steps along d, and the stride.
+	dimD, stepD, pstepD, stride int
+	// The running pass's rows: their length and the step from one target
+	// to the next in logical index, physical index, x (the coordinate along
+	// d) and literal key.
+	rowLen, tstep, ptstep, xstep, kstep int
+
+	// deferred holds the running pass's literal targets (encode) or bin-0
+	// targets (decode) until flush puts them in literal order. run borrows
+	// it from deferredPool.
+	deferred []deferred
+
 	decode bool
 	bins   []int32
 	lits   []float32
@@ -116,6 +153,14 @@ type engine struct {
 	q quant.Quantizer
 }
 
+// deferred is a target of the running pass awaiting its place in the
+// literal stream: its literal key and its logical and physical index.
+type deferred struct{ key, idx, idxP int }
+
+// deferredPool recycles the engines' deferred-target buffers, so a run
+// allocates none once the pool is warm.
+var deferredPool = sync.Pool{New: func() any { return new([]deferred) }}
+
 func newEngine(lay grid.Layout, cfg Config) (*engine, error) {
 	vol := grid.Volume(lay.Dims)
 	if vol == 0 {
@@ -133,14 +178,32 @@ func newEngine(lay grid.Layout, cfg Config) (*engine, error) {
 	if cfg.Radius == 0 {
 		cfg.Radius = quant.DefaultRadius
 	}
+	n := len(lay.Dims)
+	scratch := make([]int, 6*n)
+	order := scratch[:n]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := cmp.Compare(min(lay.Dims[a], 2), min(lay.Dims[b], 2)); c != 0 {
+			return c
+		}
+		return cmp.Compare(lay.Strides[b], lay.Strides[a])
+	})
 	return &engine{
 		dims:     lay.Dims,
 		strides:  grid.Strides(lay.Dims),
 		pstrides: lay.Strides,
 		base:     lay.Base,
-		n:        len(lay.Dims),
+		n:        n,
 		vol:      vol,
 		cfg:      cfg,
+		order:    order,
+		cnt:      scratch[n : 2*n],
+		lstep:    scratch[2*n : 3*n],
+		pstep:    scratch[3*n : 4*n],
+		kw:       scratch[4*n : 5*n],
+		pos:      scratch[5*n:],
 	}, nil
 }
 
@@ -220,8 +283,8 @@ func CompressLayout(work []float32, lay grid.Layout, cfg Config, bins []int32) (
 	return e.lits, nil
 }
 
-// Decompress reconstructs data from grid-ordered bins and traversal-ordered
-// literals. bins must have one entry per grid point (entries at masked
+// Decompress reconstructs data from grid-ordered bins and literals in
+// literal order. bins must have one entry per grid point (entries at masked
 // positions are ignored).
 func Decompress(bins []int32, literals []float32, dims []int, cfg Config) ([]float32, error) {
 	out := make([]float32, grid.Volume(dims))
@@ -335,20 +398,25 @@ func (e *engine) fillMasked() {
 // run executes the full traversal (both directions share it, guaranteeing
 // symmetry).
 func (e *engine) run() {
+	buf := deferredPool.Get().(*[]deferred)
+	e.deferred = (*buf)[:0]
+	defer func() {
+		*buf = e.deferred[:0]
+		deferredPool.Put(buf)
+	}()
 	levels := Levels(e.dims)
 	// The origin is handled first, predicted as 0.
 	e.q = e.quantizerFor(levels)
 	if e.valid(0) {
-		e.handle(0, e.base, 0)
+		e.handle(0, e.base, 0, 0)
 	}
-	for level := levels; level >= 1; level-- {
-		if e.err != nil {
-			return
-		}
+	e.flush()
+	for level := levels; level >= 1 && e.err == nil; level-- {
 		e.q = e.quantizerFor(level)
 		stride := 1 << (level - 1)
-		for d := 0; d < e.n; d++ {
-			e.passDim(d, stride)
+		for d := 0; d < e.n && e.err == nil; d++ {
+			e.pass(d, stride)
+			e.flush()
 		}
 	}
 }
@@ -368,116 +436,134 @@ func (e *engine) valid(idx int) bool {
 	return e.cfg.Valid == nil || e.cfg.Valid[idx]
 }
 
-// passDim predicts, along dimension d, every point whose d-coordinate is an
+// pass predicts, along dimension d, every point whose d-coordinate is an
 // odd multiple of stride, whose earlier coordinates are multiples of stride,
-// and whose later coordinates are multiples of 2·stride. The odometer
-// carries the logical and physical line origins in lockstep.
-func (e *engine) passDim(d, stride int) {
+// and whose later coordinates are multiples of 2·stride. It visits them in
+// rows along the innermost dimension of e.order, the other dimensions
+// nesting outside it, with an odometer that carries the logical index, the
+// physical index and the literal key of each row's first target in
+// lockstep. A target's literal key is its rank in (line, x) order.
+func (e *engine) pass(d, stride int) {
 	dimD := e.dims[d]
 	if stride >= dimD {
 		return
 	}
-	stepD := e.strides[d] * stride
-	pstepD := e.pstrides[d] * stride
-
-	// Odometer over the other dimensions.
-	counts := make([]int, 0, e.n-1)
-	steps := make([]int, 0, e.n-1)
-	psteps := make([]int, 0, e.n-1)
-	for k := 0; k < e.n; k++ {
-		if k == d {
-			continue
+	e.dimD, e.stride = dimD, stride
+	e.stepD, e.pstepD = e.strides[d]*stride, e.pstrides[d]*stride
+	cnt, lstep, pstep, kw, pos := e.cnt, e.lstep, e.pstep, e.kw, e.pos
+	for k, ext := range e.dims {
+		start, step := 0, stride
+		switch {
+		case k == d:
+			start, step = stride, 2*stride
+		case k > d:
+			step = 2 * stride
 		}
-		s := stride
-		if k > d {
-			s = 2 * stride
-		}
-		cnt := (e.dims[k] + s - 1) / s
-		counts = append(counts, cnt)
-		steps = append(steps, e.strides[k]*s)
-		psteps = append(psteps, e.pstrides[k]*s)
+		cnt[k] = (ext - start + step - 1) / step
+		lstep[k] = e.strides[k] * step
+		pstep[k] = e.pstrides[k] * step
+		pos[k] = 0
 	}
-	nOther := len(counts)
-	pos := make([]int, nOther)
-	base, pbase := 0, e.base
-	for {
-		if e.err != nil {
-			return
-		}
-		e.line(base+stepD, pbase+pstepD, dimD, stepD, pstepD, stride)
-		// Odometer increment.
-		carry := nOther - 1
-		for ; carry >= 0; carry-- {
-			pos[carry]++
-			base += steps[carry]
-			pbase += psteps[carry]
-			if pos[carry] < counts[carry] {
-				break
-			}
-			pos[carry] = 0
-			base -= steps[carry] * counts[carry]
-			pbase -= psteps[carry] * counts[carry]
-		}
-		if carry < 0 {
-			return
+	kw[d] = 1
+	w := cnt[d]
+	for k := e.n - 1; k >= 0; k-- {
+		if k != d {
+			kw[k] = w
+			w *= cnt[k]
 		}
 	}
-}
 
-// line walks one target line along the active dimension: x = stride,
-// 3·stride, ... idx/idxP start at the x = stride point. The interior of the
-// line — every point whose references all lie inside it — runs the fused
-// kernel for the fitting and direction (kernel.go). The prologue (cubic
-// points whose left references underrun the line) and the epilogue take the
-// general point predictor. The order of the points is the same either way,
-// so bins and literals are too.
-func (e *engine) line(idx, idxP, dimD, stepD, pstepD, stride int) {
-	x := stride
+	outer, inner := e.order[:e.n-1], e.order[e.n-1]
+	e.rowLen, e.tstep, e.ptstep, e.xstep, e.kstep = cnt[inner], lstep[inner], pstep[inner], 0, kw[inner]
+	// The interior of a row — its targets lo..hi−1, whose references along
+	// d all lie in the grid — runs the fused kernel. A row along d (a line)
+	// has the same interior in every row of the pass: it leaves out the
+	// cubic targets whose left references underrun the line and the targets
+	// whose right references overrun it. A row across d shares one x, so it
+	// is interior as a whole or not at all.
 	reach := stride // distance from a target to its furthest reference
 	if e.cfg.Fitting == predict.Cubic {
 		reach = 3 * stride
 	}
-	for ; x < dimD && x < reach; x += 2 * stride {
-		e.predictPoint(idx, idxP, x, dimD, stepD, pstepD, stride)
-		idx += 2 * stepD
-		idxP += 2 * pstepD
-	}
-	if x+reach < dimD {
-		n := (dimD-reach-x-1)/(2*stride) + 1
-		switch {
-		case e.cfg.Fitting == predict.Cubic && e.decode:
-			e.decodeCubic(idx, idxP, x, n, dimD, stepD, pstepD, stride)
-		case e.cfg.Fitting == predict.Cubic:
-			e.encodeCubic(idx, idxP, x, n, dimD, stepD, pstepD, stride)
-		case e.decode:
-			e.decodeLinear(idx, idxP, x, n, dimD, stepD, pstepD, stride)
-		default:
-			e.encodeLinear(idx, idxP, x, n, dimD, stepD, pstepD, stride)
+	lo, hi := 0, 0
+	if inner == d {
+		e.xstep = 2 * stride
+		lo = min((reach-stride)/(2*stride), e.rowLen) // reach−stride is 0 or 2·stride
+		hi = lo
+		if rest := dimD - reach - stride; rest > 0 {
+			hi = min(max((rest+2*stride-1)/(2*stride), lo), e.rowLen)
 		}
+	}
+	idx, idxP, x, key := e.stepD, e.base+e.pstepD, stride, 0
+	for {
+		if inner != d {
+			x = stride + 2*stride*pos[d]
+			lo, hi = e.rowLen, e.rowLen
+			if x >= reach && x+reach < dimD {
+				lo = 0
+			}
+		}
+		e.row(idx, idxP, x, key, lo, hi)
 		if e.err != nil {
 			return
 		}
-		x += 2 * stride * n
-		idx += 2 * stepD * n
-		idxP += 2 * pstepD * n
-	}
-	for ; x < dimD; x += 2 * stride {
-		e.predictPoint(idx, idxP, x, dimD, stepD, pstepD, stride)
-		idx += 2 * stepD
-		idxP += 2 * pstepD
+		i := len(outer) - 1
+		for ; i >= 0; i-- {
+			k := outer[i]
+			pos[k]++
+			idx += lstep[k]
+			idxP += pstep[k]
+			key += kw[k]
+			if pos[k] < cnt[k] {
+				break
+			}
+			pos[k] = 0
+			idx -= lstep[k] * cnt[k]
+			idxP -= pstep[k] * cnt[k]
+			key -= kw[k] * cnt[k]
+		}
+		if i < 0 {
+			return
+		}
 	}
 }
 
-// predictPoint predicts the point at logical index idx (physical idxP)
-// whose coordinate along the active dimension is x (0 ≤ x < dimD), with
-// logical step stepD and physical step pstepD per stride. References sit at
-// coordinates x ± stride and (for cubic) x ± 3·stride (paper Fig. 6);
-// references that fall outside the grid or on masked points are flagged
-// invalid and the fitting degrades via Formula (2).
-func (e *engine) predictPoint(idx, idxP, x, dimD, stepD, pstepD, stride int) {
+// row runs the row whose first target is at logical index idx, physical
+// index idxP, with coordinate x along the pass dimension and literal key
+// key: its targets lo..hi−1 through the fused kernel for the fitting and
+// direction (kernel.go), the rest through the general point predictor.
+func (e *engine) row(idx, idxP, x, key, lo, hi int) {
+	if lo > 0 {
+		e.points(idx, idxP, x, key, lo)
+	}
+	if hi > lo && e.err == nil {
+		e.kernel(idx+lo*e.tstep, idxP+lo*e.ptstep, x+lo*e.xstep, key+lo*e.kstep, hi-lo)
+	}
+	if n := e.rowLen; hi < n {
+		e.points(idx+hi*e.tstep, idxP+hi*e.ptstep, x+hi*e.xstep, key+hi*e.kstep, n-hi)
+	}
+}
+
+// points runs the general point predictor over n targets of a row from
+// the one at logical index idx, physical index idxP, coordinate x and
+// literal key key.
+func (e *engine) points(idx, idxP, x, key, n int) {
+	for ; n > 0 && e.err == nil; n-- {
+		e.predictPoint(idx, idxP, x, key)
+		idx, idxP, x, key = idx+e.tstep, idxP+e.ptstep, x+e.xstep, key+e.kstep
+	}
+}
+
+// predictPoint predicts the target at logical index idx (physical idxP)
+// whose coordinate along the pass dimension is x, with literal key key.
+// References sit at coordinates x ± stride and (for cubic) x ± 3·stride
+// (paper Fig. 6); references that fall outside the grid or on masked points
+// are flagged invalid and the fitting degrades via Formula (2).
+func (e *engine) predictPoint(idx, idxP, x, key int) {
 	if !e.valid(idx) {
 		return
 	}
+	dimD, stepD, pstepD, stride := e.dimD, e.stepD, e.pstepD, e.stride
 	var pred float64
 	if e.cfg.Fitting == predict.Cubic {
 		var d [4]float64
@@ -512,40 +598,83 @@ func (e *engine) predictPoint(idx, idxP, x, dimD, stepD, pstepD, stride int) {
 		}
 		pred = predict.PredictLinear(d1, d2, vm)
 	}
-	e.handle(idx, idxP, pred)
+	e.handle(idx, idxP, key, pred)
 }
 
-// handle quantizes (compress) or recovers (decompress) the point at logical
-// index idx, reading and writing the value at physical index idxP.
-func (e *engine) handle(idx, idxP int, pred float64) {
+// handle quantizes (compress) or recovers (decompress) the target at
+// logical index idx, reading and writing the value at physical index idxP.
+// A literal target is deferred under key until flush.
+func (e *engine) handle(idx, idxP, key int, pred float64) {
 	if e.decode {
 		bin := e.bins[idx]
-		var lit float64
 		if bin == 0 {
-			if e.litPos >= len(e.lits) {
-				e.err = errUnderrun(idx)
-				return
-			}
-			lit = float64(e.lits[e.litPos])
-			e.litPos++
-		}
-		if e.verify {
-			e.checkPoint(idx, idxP, pred, bin, lit)
+			e.deferLit(key, idx, idxP)
 			return
 		}
-		e.work[idxP] = float32(e.q.Recover(pred, bin, lit))
+		if e.verify {
+			e.checkPoint(idx, idxP, pred, bin, 0)
+			return
+		}
+		e.work[idxP] = float32(e.q.Recover(pred, bin, 0))
 		return
 	}
-	orig := float64(e.work[idxP])
-	bin, recon, exact := e.q.Quantize(pred, orig)
+	bin, recon, exact := e.q.Quantize(pred, float64(e.work[idxP]))
 	if exact {
-		e.lits = append(e.lits, e.work[idxP])
-		// recon == orig; work[idxP] already holds it.
-		_ = recon
+		// work[idxP] keeps the original value for flush to emit.
+		e.deferred = append(e.deferred, deferred{key, idx, idxP})
 	} else {
 		e.work[idxP] = float32(recon)
 	}
 	e.bins[idx] = bin
+}
+
+// deferLit defers a decode-side bin-0 target of the running pass. Once the
+// pass has deferred as many targets as literals remain, it fails with
+// ErrCorrupt instead, so the buffer never outgrows the literal stream.
+func (e *engine) deferLit(key, idx, idxP int) bool {
+	if len(e.deferred) >= len(e.lits)-e.litPos {
+		e.err = errUnderrun(idx)
+		return false
+	}
+	e.deferred = append(e.deferred, deferred{key, idx, idxP})
+	return true
+}
+
+// flush ends a pass: it puts the deferred targets in literal (key) order,
+// then appends their original values to the literal stream (encode) or
+// gives each the next literal (decode). No target of a pass references
+// another, so deferring a value to the end of its pass changes nothing
+// else.
+func (e *engine) flush() {
+	ds := e.deferred
+	if len(ds) == 0 || e.err != nil {
+		return
+	}
+	byKey := func(a, b deferred) int { return cmp.Compare(a.key, b.key) }
+	if !slices.IsSortedFunc(ds, byKey) {
+		slices.SortFunc(ds, byKey)
+	}
+	if !e.decode {
+		for _, t := range ds {
+			e.lits = append(e.lits, e.work[t.idxP])
+		}
+	} else {
+		// deferLit kept len(ds) within the literals left.
+		lits := e.lits[e.litPos : e.litPos+len(ds)]
+		e.litPos += len(ds)
+		for i, t := range ds {
+			if e.verify {
+				if e.checkPoint(t.idx, t.idxP, 0, 0, float64(lits[i])); e.err != nil {
+					return
+				}
+				continue
+			}
+			// Through float64 as quant.Recover does, so a signalling-NaN
+			// literal is quieted exactly as a recovered value would be.
+			e.work[t.idxP] = float32(float64(lits[i]))
+		}
+	}
+	e.deferred = ds[:0]
 }
 
 func errUnderrun(idx int) error {

@@ -2,9 +2,11 @@ package interp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cliz/internal/grid"
@@ -189,17 +191,19 @@ func sameBits(a, b []float32) int {
 	return -1
 }
 
-// checkKernel runs the engine (through the layout of perm over the original
-// array, so physical and logical steps differ when perm is not the
-// identity) and the scalar reference (over the transposed logical array)
-// and requires identical bins, literals, reconstruction and decode output,
-// and a clean verify replay.
+// checkKernel runs the engine (through the layout of perm and fusion fus
+// over the original array, so physical and logical steps differ when perm
+// is not the identity) and the scalar reference (over the transposed
+// logical array, whose fusion is a reshape) and requires identical bins,
+// literals, reconstruction and decode output, and a clean verify replay.
+// The reference visits in line order, so identical literals hold the
+// engine's memory-order traversal to the (line, x) literal order.
 // cfg.Valid is given in original order.
-func checkKernel(t *testing.T, data []float32, dims, perm []int, cfg Config) {
+func checkKernel(t *testing.T, data []float32, dims, perm []int, fus grid.Fusion, cfg Config) {
 	t.Helper()
-	lay, ok := grid.FusedLayout(dims, perm, grid.NoFusion(len(dims)))
+	lay, ok := grid.FusedLayout(dims, perm, fus)
 	if !ok {
-		t.Fatalf("no layout for %v perm %v", dims, perm)
+		t.Fatalf("no layout for %v perm %v fusion %v", dims, perm, fus)
 	}
 	logical, err := grid.Transpose(data, dims, perm)
 	if err != nil {
@@ -336,29 +340,49 @@ func randomMask(n int, seed int64) []bool {
 	return v
 }
 
+// kernelPerms returns the identity, the reversal and a rotation of n axes:
+// the reversal makes the innermost physical dimension logical dimension 0,
+// the rotation nests the outer dimensions out of logical order too.
+func kernelPerms(n int) [][]int {
+	ident, rev, rot := make([]int, n), make([]int, n), make([]int, n)
+	for i := range ident {
+		ident[i] = i
+		rev[i] = n - 1 - i
+		rot[i] = (i + 1) % n
+	}
+	return [][]int{ident, rev, rot}
+}
+
+// kernelLayouts calls f with every (permutation, fusion) pair of
+// kernelPerms and grid.Compositions that has a fused layout.
+func kernelLayouts(dims []int, f func(perm []int, fus grid.Fusion)) {
+	for _, perm := range kernelPerms(len(dims)) {
+		for _, fus := range grid.Compositions(len(dims)) {
+			if _, ok := grid.FusedLayout(dims, perm, fus); ok {
+				f(perm, fus)
+			}
+		}
+	}
+}
+
 // TestKernelMatchesReference holds the fused kernels to the scalar
 // reference traversal over linear and cubic fitting, masked and unmasked
-// grids, odd and even extents, per-level bounds, a small and the default
-// radius, a permuted layout, and adversarial float bit patterns.
+// grids, odd and even extents, 1- to 4-D grids, per-level bounds, a small
+// and the default radius, permuted and fused layouts, and adversarial float
+// bit patterns.
 func TestKernelMatchesReference(t *testing.T) {
 	shapes := [][]int{
 		{1}, {2}, {16}, {17}, {64}, {9, 12}, {8, 13}, {5, 6, 7}, {6, 6, 6},
-		{3, 1, 10}, {33, 2}, {4, 5, 3, 6},
+		{3, 1, 10}, {33, 2}, {4, 5, 3, 6}, {2, 7, 1, 9}, {5, 3, 4, 2},
 	}
 	seed := int64(0)
 	for _, dims := range shapes {
 		vol := grid.Volume(dims)
-		ident := make([]int, len(dims))
-		rev := make([]int, len(dims))
-		for i := range dims {
-			ident[i] = i
-			rev[i] = len(dims) - 1 - i
-		}
 		for _, fit := range []predict.Fitting{predict.Linear, predict.Cubic} {
 			for _, radius := range []int32{8, 0} {
 				for _, eb := range []float64{0.5, 1e-3, 1e308} {
 					for _, masked := range []bool{false, true} {
-						for _, perm := range [][]int{ident, rev} {
+						kernelLayouts(dims, func(perm []int, fus grid.Fusion) {
 							seed++
 							cfg := Config{EB: eb, Radius: radius, Fitting: fit, FillValue: 1e35}
 							if seed%2 == 0 {
@@ -372,12 +396,156 @@ func TestKernelMatchesReference(t *testing.T) {
 								r = quant.DefaultRadius
 							}
 							data := adversarialField(dims, seed, eb, r)
-							t.Run(fmt.Sprintf("%v/%v/r%d/eb%g/mask=%v/perm%v", dims, fit, radius, eb, masked, perm), func(t *testing.T) {
-								checkKernel(t, data, dims, perm, cfg)
+							name := fmt.Sprintf("%v/%v/r%d/eb%g/mask=%v/perm%v", dims, fit, radius, eb, masked, perm)
+							if len(fus.Groups) < len(dims) {
+								name += "/fuse" + fus.String()
+							}
+							t.Run(name, func(t *testing.T) {
+								checkKernel(t, data, dims, perm, fus, cfg)
 							})
-						}
+						})
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestKernelLiteralOrder runs literal-heavy fields — NaN, ±Inf and 1e35 on
+// every k-th point of a smooth field, under radius 2, so most targets of
+// every pass are literals — through every layout of kernelLayouts, and
+// requires the literal stream of the scalar line-order reference. It also
+// checks that the engine did visit literals out of (line, x) order, so the
+// stream's order is really at stake.
+func TestKernelLiteralOrder(t *testing.T) {
+	inf := float32(math.Inf(1))
+	spec := []float32{float32(math.NaN()), inf, -inf, 1e35}
+	shapes := [][]int{{9, 12}, {5, 6, 7}, {7, 1, 10}, {4, 5, 3, 6}, {3, 6, 2, 5}}
+	for si, dims := range shapes {
+		vol := grid.Volume(dims)
+		for _, fit := range []predict.Fitting{predict.Linear, predict.Cubic} {
+			for _, masked := range []bool{false, true} {
+				kernelLayouts(dims, func(perm []int, fus grid.Fusion) {
+					k := 3 + si%3
+					data := smoothField(dims, int64(si))
+					for i := 0; i < vol; i += k {
+						data[i] = spec[(i/k)%len(spec)]
+					}
+					cfg := Config{EB: 1e-3, Radius: 2, Fitting: fit, FillValue: -1}
+					if masked {
+						cfg.Valid = randomMask(vol, int64(si))
+					}
+					name := fmt.Sprintf("%v/%v/mask=%v/perm%v/fuse%v", dims, fit, masked, perm, fus)
+					t.Run(name, func(t *testing.T) {
+						checkKernel(t, data, dims, perm, fus, cfg)
+					})
+					if !masked && crossRows(dims, perm, fus) && unorderedPasses(t, data, dims, perm, fus, cfg) == 0 {
+						t.Errorf("%s: no pass visited its literals out of line order", name)
+					}
+				})
+			}
+		}
+	}
+}
+
+// walk runs e's traversal as run does, handing each (level, dimension)
+// pass to do, which must call pass and then flush; between the two, the
+// pass's deferred targets are in e.deferred.
+func walk(e *engine, do func(level, d int, pass, flush func())) {
+	levels := Levels(e.dims)
+	e.q = e.quantizerFor(levels)
+	e.handle(0, e.base, 0, 0)
+	e.flush()
+	for level := levels; level >= 1; level-- {
+		e.q = e.quantizerFor(level)
+		for d := 0; d < e.n; d++ {
+			do(level, d, func() { e.pass(d, 1<<(level-1)) }, e.flush)
+		}
+	}
+}
+
+// crossRows reports whether the layout's level-1 traversal has a pass
+// that runs rows of at least two targets across a pass dimension with at
+// least two targets per line, which visits literals out of line order.
+func crossRows(dims, perm []int, fus grid.Fusion) bool {
+	lay, _ := grid.FusedLayout(dims, perm, fus)
+	inner := -1
+	for k, ext := range lay.Dims {
+		if ext > 1 && (inner < 0 || lay.Strides[k] < lay.Strides[inner]) {
+			inner = k
+		}
+	}
+	for d, ext := range lay.Dims {
+		if d != inner && ext >= 4 && inner >= 0 && lay.Dims[inner] >= 3 {
+			return true
+		}
+	}
+	return false
+}
+
+// unorderedPasses encodes data (unmasked) pass by pass and counts the
+// passes that deferred literals out of key order.
+func unorderedPasses(t *testing.T, data []float32, dims, perm []int, fus grid.Fusion, cfg Config) int {
+	t.Helper()
+	lay, _ := grid.FusedLayout(dims, perm, fus)
+	e, err := newEngine(lay, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.work = append([]float32(nil), data...)
+	e.bins = make([]int32, len(data))
+	n := 0
+	walk(e, func(level, d int, pass, flush func()) {
+		pass()
+		if !slices.IsSortedFunc(e.deferred, func(a, b deferred) int { return a.key - b.key }) {
+			n++
+		}
+		flush()
+	})
+	if e.err != nil {
+		t.Fatal(e.err)
+	}
+	return n
+}
+
+// TestDecodeLiteralUnderrunBounded holds bins that claim more literals than
+// the stream has: all zero, and zero only on the finest pass along the last
+// dimension (half the grid in one pass, after a clean decode of the rest).
+// The decoder must fail with ErrCorrupt, and never defer more targets than
+// there are literals, however large the pass.
+func TestDecodeLiteralUnderrunBounded(t *testing.T) {
+	dims := []int{48, 40, 36}
+	lay := grid.IdentityLayout(dims)
+	out := make([]float32, grid.Volume(dims))
+	for _, fit := range []predict.Fitting{predict.Linear, predict.Cubic} {
+		cfg := Config{EB: 1, Fitting: fit}
+		res, err := Compress(smoothField(dims, 3), dims, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		finest := append([]int32(nil), res.Bins...)
+		for i := 1; i < len(finest); i += 2 { // odd last coordinate: dims[2] is even
+			finest[i] = 0
+		}
+		lits := append(res.Literals, 1, 2, 3, 4, 5)
+		for name, bins := range map[string][]int32{"all-zero": make([]int32, len(out)), "finest-pass": finest} {
+			if err := DecompressLayout(bins, lits, lay, cfg, out); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%v/%s: error %v, want ErrCorrupt", fit, name, err)
+			}
+			e, err := newEngine(lay, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.decode, e.work, e.bins, e.lits = true, out, bins, lits
+			e.run()
+			if !errors.Is(e.err, ErrCorrupt) || len(e.deferred) > len(lits) {
+				t.Fatalf("%v/%s: error %v, %d targets deferred for %d literals",
+					fit, name, e.err, len(e.deferred), len(lits))
+			}
+			// The engine and its scratch; the deferred buffer comes from a pool.
+			allocs := testing.AllocsPerRun(5, func() { _ = DecompressLayout(bins, lits, lay, cfg, out) })
+			if allocs > 12 {
+				t.Fatalf("%v/%s: %g allocations for a %d-literal stream", fit, name, allocs, len(lits))
 			}
 		}
 	}
@@ -410,7 +578,7 @@ func TestKernelSignedZero(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{EB: 0.5, Radius: c.radius, Fitting: c.fit}
 			dims := []int{len(c.data)}
-			checkKernel(t, c.data, dims, []int{0}, cfg)
+			checkKernel(t, c.data, dims, []int{0}, grid.NoFusion(1), cfg)
 			res, err := Compress(c.data, dims, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -425,9 +593,11 @@ func TestKernelSignedZero(t *testing.T) {
 // FuzzKernel holds the fused kernels to the scalar reference over
 // arbitrary float bit patterns, shapes, masks, bounds and radii.
 //
-// shape: low 2 bits pick 1–3 dimensions, then 4 bits per extent (1–16).
+// shape: low 2 bits pick 1–4 dimensions, then 4 bits per extent (1–16),
+// then from bit 18 the fusion among grid.Compositions.
 // mode: bit 0 cubic, bit 1 masked, bit 2 per-level bounds, bit 3 radius 8,
-// bits 4–5 the bound (0.5, 1e-3, 1e-30, 1e308), bit 6 reversed axes.
+// bits 4–5 the bound (0.5, 1e-3, 1e-30, 1e308), bits 6–7 the permutation
+// (identity, reversal, rotation, identity) of kernelPerms.
 func FuzzKernel(f *testing.F) {
 	seedVals := make([]byte, 0, 4*len(specials))
 	for _, b := range specials {
@@ -437,16 +607,21 @@ func FuzzKernel(f *testing.F) {
 	f.Add(seedVals, uint32(0x11f2), uint8(0x4e))
 	f.Add([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x40}, uint32(0x0ff1), uint8(0x09))
 	f.Add([]byte{}, uint32(0x0003), uint8(0x30))
+	// 4-D (extents 6, 4, 8, 3) with the rotation and fusion 5 of 8.
+	f.Add(seedVals, uint32(5<<18|2<<14|7<<10|3<<6|5<<2|3), uint8(0x8b))
+	// 3-D (extents 9, 5, 7) reversed, cubic, masked, fusion 3 of 4.
+	f.Add(seedVals, uint32(3<<18|6<<10|4<<6|8<<2|2), uint8(0x43))
 	f.Fuzz(func(t *testing.T, raw []byte, shape uint32, mode uint8) {
-		n := 1 + int(shape%3)
+		n := 1 + int(shape%4)
 		dims := make([]int, n)
-		perm := make([]int, n)
 		for i := range dims {
 			dims[i] = 1 + int(shape>>(2+4*i))&15
-			perm[i] = i
-			if mode&64 != 0 {
-				perm[i] = n - 1 - i
-			}
+		}
+		perm := kernelPerms(n)[(mode>>6)%3]
+		fusions := grid.Compositions(n)
+		fus := fusions[int(shape>>18)%len(fusions)]
+		if _, ok := grid.FusedLayout(dims, perm, fus); !ok {
+			fus = grid.NoFusion(n)
 		}
 		vol := grid.Volume(dims)
 		data := make([]float32, vol)
@@ -479,6 +654,6 @@ func FuzzKernel(f *testing.F) {
 		if mode&8 != 0 {
 			cfg.Radius = 8
 		}
-		checkKernel(t, data, dims, perm, cfg)
+		checkKernel(t, data, dims, perm, fus, cfg)
 	})
 }
