@@ -101,17 +101,84 @@ func (v validity) bitmap(dims []int) ([]bool, error) {
 	return nil, nil
 }
 
+// stepValidity returns the validity the periodic stages read one time step
+// (dims[0] index) at a time: for a horizontal map over a rank ≥ 3 grid the
+// single step every index shares, otherwise the full bitmap (nil if
+// unmasked). planeValid picks a step's window out of either.
+func (v validity) stepValidity(dims []int) ([]bool, error) {
+	if v.hm != nil && len(dims) >= 3 {
+		return v.hm.Broadcast(dims[1:])
+	}
+	return v.bitmap(dims)
+}
+
+// logical returns the validity in the logical order of perm (nil if
+// unmasked): a horizontal map writes it directly, a point bitmap is
+// transposed.
+func (v validity) logical(dims, perm []int, workers int) ([]bool, error) {
+	switch {
+	case v.hm != nil:
+		return v.hm.Permuted(dims, perm)
+	case v.pts != nil:
+		return grid.TransposeWorkers(v.pts, dims, perm, workers)
+	}
+	return nil, nil
+}
+
+// writeFill stores fill at every masked point of out, which is in the
+// original layout. A horizontal map is applied plane by plane through the
+// runs of masked cells in one plane.
+func (v validity) writeFill(out []float32, fill float32) {
+	switch {
+	case v.hm != nil:
+		type run struct{ lo, hi int }
+		var runs []run
+		for i, r := range v.hm.Regions {
+			if r != 0 {
+				continue
+			}
+			if n := len(runs); n > 0 && runs[n-1].hi == i {
+				runs[n-1].hi++
+			} else {
+				runs = append(runs, run{i, i + 1})
+			}
+		}
+		plane := len(v.hm.Regions)
+		for off := 0; off+plane <= len(out); off += plane {
+			pl := out[off : off+plane]
+			for _, r := range runs {
+				s := pl[r.lo:r.hi]
+				for i := range s {
+					s[i] = fill
+				}
+			}
+		}
+	case v.pts != nil:
+		for i, ok := range v.pts {
+			if !ok {
+				out[i] = fill
+			}
+		}
+	}
+}
+
 // Compress encodes ds.Data under the absolute error bound eb with the given
 // pipeline. The blob is self-contained: it embeds the mask and (for periodic
 // pipelines) the compressed template.
 func Compress(ds *dataset.Dataset, eb float64, p Pipeline, opt Options) ([]byte, error) {
-	blob, _, err := CompressWithRecon(ds, eb, p, opt)
+	blob, _, err := compressDataset(ds, eb, p, opt, false)
 	return blob, err
 }
 
 // CompressWithRecon also returns the reconstruction the decompressor will
 // produce, sparing experiments a decode pass.
 func CompressWithRecon(ds *dataset.Dataset, eb float64, p Pipeline, opt Options) ([]byte, []float32, error) {
+	return compressDataset(ds, eb, p, opt, true)
+}
+
+// compressDataset is Compress, building the reconstruction too when
+// withRecon is set.
+func compressDataset(ds *dataset.Dataset, eb float64, p Pipeline, opt Options, withRecon bool) ([]byte, []float32, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -120,7 +187,7 @@ func CompressWithRecon(ds *dataset.Dataset, eb float64, p Pipeline, opt Options)
 		v.hm = ds.Mask
 	}
 	total := trace.Begin(opt.Trace, "total")
-	blob, recon, err := compressGeneral(ds.Data, ds.Dims, v, eb, p, ds.FillValue, opt)
+	blob, recon, err := compressGeneral(ds.Data, ds.Dims, v, eb, p, ds.FillValue, opt, withRecon)
 	if err == nil {
 		total.EndFull(int64(len(ds.Data))*4, int64(len(blob)), int64(len(ds.Data)), nil)
 	}
@@ -143,16 +210,18 @@ func interrupted(poll func() error) error {
 	return nil
 }
 
+// compressGeneral writes the blob of data under pipeline p and, when
+// withRecon is set, the reconstruction the decoder will produce.
 func compressGeneral(data []float32, dims []int, v validity, eb float64,
-	p Pipeline, fill float32, opt Options) ([]byte, []float32, error) {
+	p Pipeline, fill float32, opt Options, withRecon bool) ([]byte, []float32, error) {
 
 	pr, err := predictGeneral(data, dims, v, eb, p, fill, opt, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	blob, err := pr.encode(p.Classify)
-	if err != nil {
-		return nil, nil, err
+	if err != nil || !withRecon {
+		return blob, nil, err
 	}
 	recon, err := pr.recon()
 	if err != nil {
@@ -177,7 +246,6 @@ type periodicParts struct {
 	h         header // wrapper header; encode sets flagClassify
 	tmplBlob  []byte
 	tmplRecon []float32
-	valid     []bool
 }
 
 // predictGeneral validates p against the input and runs it up to the bins.
@@ -225,22 +293,20 @@ func (pr *prediction) encode(classified bool) ([]byte, error) {
 	return w.bytes(), nil
 }
 
-// recon returns the reconstruction the decoder will produce.
+// recon returns the reconstruction the decoder will produce: the unit's,
+// with the template added back in place for a periodic blob, and the fill
+// value written once at the masked points.
 func (pr *prediction) recon() ([]float32, error) {
-	r, err := pr.unit.recon()
-	if err != nil || pr.per == nil {
-		return r, err
+	u := pr.unit
+	r, err := u.recon()
+	if err != nil {
+		return nil, err
 	}
-	h := pr.per.h
-	recon := addTemplate(r, pr.per.tmplRecon, h.dims, h.pipe.Period)
-	if pr.per.valid != nil {
-		for i, ok := range pr.per.valid {
-			if !ok {
-				recon[i] = h.fill
-			}
-		}
+	if pr.per != nil {
+		addTemplate(r, pr.per.tmplRecon, u.dims, pr.per.h.pipe.Period)
 	}
-	return recon, nil
+	u.v.writeFill(r, u.fill)
+	return r, nil
 }
 
 // predictPeriodic implements periodic component extraction (paper §VI-D):
@@ -252,7 +318,7 @@ func (pr *prediction) recon() ([]float32, error) {
 func predictPeriodic(data []float32, dims []int, v validity, eb float64,
 	p Pipeline, fill float32, opt Options, m *tuneMemo) (*prediction, error) {
 
-	valid, err := v.bitmap(dims)
+	valid, err := v.stepValidity(dims)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +364,7 @@ func predictPeriodic(data []float32, dims []int, v validity, eb float64,
 		psections: 1, // periodic wrappers carry no bin streams of their own
 	}
 	return &prediction{unit: u, per: &periodicParts{
-		h: h, tmplBlob: tmplBlob, tmplRecon: tmplRecon, valid: valid,
+		h: h, tmplBlob: tmplBlob, tmplRecon: tmplRecon,
 	}}, nil
 }
 
@@ -314,7 +380,7 @@ type templateOut struct {
 
 // compressTemplate builds the template (the per-phase mean) of data,
 // compresses it with pipeline tp, and forms the residual against its lossy
-// reconstruction.
+// reconstruction. valid is v's stepValidity.
 func compressTemplate(data []float32, dims []int, v validity, valid []bool, eb float64,
 	period int, tp Pipeline, fill float32, opt Options, m *tuneMemo) (*templateOut, error) {
 
@@ -350,21 +416,23 @@ func compressTemplate(data []float32, dims []int, v validity, valid []bool, eb f
 // adds on top of the residual's verified error: one rounding when the
 // residual is formed (data − template) and one when the decoder re-adds the
 // template. Each is at most half a ulp of the largest magnitude involved.
+// valid is a stepValidity.
 func compositionSlack(data, tmplRecon []float32, dims []int, period int, valid []bool) float64 {
 	nT := dims[0]
 	plane := len(data) / nT
 	maxAbs := 0.0
 	for t := 0; t < nT; t++ {
-		toff := (t % period) * plane
-		for p := 0; p < plane; p++ {
-			idx := t*plane + p
-			if valid != nil && !valid[idx] {
+		d := data[t*plane : (t+1)*plane]
+		tm := tmplRecon[(t%period)*plane:][:plane]
+		vp := planeValid(valid, t, plane)
+		for p := range d {
+			if vp != nil && !vp[p] {
 				continue
 			}
-			if a := math.Abs(float64(data[idx])); a > maxAbs {
+			if a := math.Abs(float64(d[p])); a > maxAbs {
 				maxAbs = a
 			}
-			if a := math.Abs(float64(tmplRecon[toff+p])); a > maxAbs {
+			if a := math.Abs(float64(tm[p])); a > maxAbs {
 				maxAbs = a
 			}
 		}
@@ -440,7 +508,8 @@ func identityPerm(n int) []int {
 	return p
 }
 
-// compressUnit compresses a single (non-periodic) compression unit.
+// compressUnit compresses a single (non-periodic) compression unit. The
+// reconstruction holds no fill: its masked points are unspecified.
 func compressUnit(data []float32, dims []int, v validity, eb float64,
 	p Pipeline, fill float32, opt Options, m *tuneMemo) ([]byte, []float32, error) {
 
@@ -499,45 +568,38 @@ func predictUnit(data []float32, dims []int, v validity, eb float64,
 	if err := interrupted(opt.Interrupt); err != nil {
 		return nil, err
 	}
-	validOrig, err := v.bitmap(dims)
-	if err != nil {
-		return nil, err
-	}
 	W := opt.workers()
+	// The bins/mask/classify streams are in logical (post-permutation)
+	// order, so the engines take the validity in that order.
+	var tvalid []bool
+	if !v.none() {
+		sp := trace.Begin(opt.Trace, "mask")
+		var err error
+		tvalid, err = m.logicalValidity(v, dims, p.Perm, W)
+		if err != nil {
+			return nil, err
+		}
+		sp.EndFull(int64(len(tvalid)), int64(len(tvalid)), int64(len(tvalid)), nil)
+	}
 	// Fused path (default): the permutation and fusion become a Layout the
-	// engines traverse directly, so the float data is never transposed —
-	// only the compact bool mask is, keeping the bins/mask/classify streams
-	// in logical (post-permutation) order. The legacy path materializes the
-	// transpose; both produce bit-identical blobs.
+	// engines traverse directly, so the float data is never transposed. The
+	// legacy path materializes the transpose; both produce bit-identical
+	// blobs.
 	lay, fused := grid.FusedLayout(dims, p.Perm, p.Fusion)
 	if opt.MaterializedPermute {
 		fused = false
 	}
 	var tdims []int
 	var work []float32
-	var tvalid []bool
 	if fused {
-		if validOrig != nil {
-			sp := trace.Begin(opt.Trace, "mask")
-			tvalid, err = m.transposedValidity(validOrig, dims, p.Perm, W)
-			if err != nil {
-				return nil, err
-			}
-			sp.EndFull(int64(len(validOrig)), int64(len(tvalid)), int64(len(tvalid)), nil)
-		}
 		work = m.workCopy(data)
 	} else {
 		sp := trace.Begin(opt.Trace, "permute")
 		tdims = grid.PermuteDims(dims, p.Perm)
+		var err error
 		work, err = grid.TransposeWorkers(data, dims, p.Perm, W)
 		if err != nil {
 			return nil, err
-		}
-		if validOrig != nil {
-			tvalid, err = m.transposedValidity(validOrig, dims, p.Perm, W)
-			if err != nil {
-				return nil, err
-			}
 		}
 		sp.EndFull(int64(len(data))*4, int64(len(work))*4, int64(len(work)), nil)
 		lay = grid.IdentityLayout(p.Fusion.Apply(tdims))
@@ -552,7 +614,7 @@ func predictUnit(data []float32, dims []int, v validity, eb float64,
 	}
 	sp := trace.Begin(opt.Trace, predName)
 	bins := m.binsBuffer(len(work))
-	lits, err := predictSections(work, bins, lay, tvalid, eb, p, fill, opt, P)
+	lits, err := predictSections(work, bins, lay, tvalid, eb, p, opt, P)
 	if err != nil {
 		return nil, err
 	}
@@ -658,7 +720,8 @@ func (u *unitPrediction) encode(classified bool) ([]byte, error) {
 
 // recon returns the unit's reconstruction in the original array layout.
 // The engines reconstructed in place: under the fused layout work already
-// is that, otherwise it is transposed back.
+// is that, otherwise it is transposed back. Masked points are unspecified;
+// the caller writes the fill (prediction.recon).
 func (u *unitPrediction) recon() ([]float32, error) {
 	if u.tdims == nil {
 		return u.work, nil
@@ -798,93 +861,82 @@ func DecompressWithOptions(blob []byte, opt DecompressOptions) ([]float32, []int
 }
 
 func decompressAt(blob []byte, pos *int, opt DecompressOptions) ([]float32, []int, error) {
-	if err := interrupted(opt.Interrupt); err != nil {
+	data, dims, mf, err := decodeAt(blob, pos, opt)
+	if err != nil {
 		return nil, nil, err
+	}
+	mf.v.writeFill(data, mf.fill)
+	return data, dims, nil
+}
+
+// maskedFill is what a decode leaves its caller to do: write fill at the
+// masked points of v, in the original layout.
+type maskedFill struct {
+	v    validity
+	fill float32
+}
+
+// decodeAt decodes the blob at *pos without writing the fill value: the
+// masked points of the output are unspecified until the caller applies the
+// returned maskedFill, once, to the finished output.
+func decodeAt(blob []byte, pos *int, opt DecompressOptions) ([]float32, []int, maskedFill, error) {
+	if err := interrupted(opt.Interrupt); err != nil {
+		return nil, nil, maskedFill{}, err
 	}
 	c := opt.Trace
 	h, err := parseHeader(blob, pos)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, maskedFill{}, err
 	}
-	if h.flags&flagPeriodic != 0 {
-		sr := sectionReader{h: &h}
-		tmplSec, err := sr.next(blob, pos, secTemplate)
-		if err != nil {
-			return nil, nil, err
-		}
-		resSec, err := sr.next(blob, pos, secResidual)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !sr.done() {
-			return nil, nil, ErrCorrupt
-		}
-		tpos := 0
-		tmpl, tmplDims, err := decompressAt(tmplSec, &tpos, opt.prefixed("template"))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: template: %w", err)
-		}
-		if len(tmplDims) != len(h.dims) || tmplDims[0] != h.pipe.Period {
-			return nil, nil, ErrCorrupt
-		}
-		rpos := 0
-		residual, resDims, err := decompressAt(resSec, &rpos, opt.prefixed("residual"))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: residual: %w", err)
-		}
-		if !dimsEqual(resDims, h.dims) {
-			return nil, nil, ErrCorrupt
-		}
-		sp := trace.Begin(c, "compose")
-		data := addTemplate(residual, tmpl, h.dims, h.pipe.Period)
-		if h.flags&(flagMask|flagPointMask) != 0 {
-			// Adding the template disturbed the fill values the residual
-			// decoder placed at masked points; restore them using the
-			// validity embedded in the residual blob.
-			valid, err := validityFromUnitBlob(resSec, h.dims)
-			if err != nil {
-				return nil, nil, err
-			}
-			for i, ok := range valid {
-				if !ok {
-					data[i] = h.fill
-				}
-			}
-		}
-		sp.EndFull(0, int64(len(data))*4, int64(len(data)), nil)
-		return data, h.dims, nil
-	}
-	return decompressUnit(blob, pos, h, opt)
-}
-
-// validityFromUnitBlob extracts the embedded validity bitmap of a unit blob.
-func validityFromUnitBlob(blob []byte, dims []int) ([]bool, error) {
-	pos := 0
-	h, err := parseHeader(blob, &pos)
-	if err != nil {
-		return nil, err
+	if h.flags&flagPeriodic == 0 {
+		return decompressUnit(blob, pos, h, opt)
 	}
 	sr := sectionReader{h: &h}
-	switch {
-	case h.flags&flagMask != 0:
-		sec, err := sr.next(blob, &pos, secMask)
-		if err != nil {
-			return nil, err
-		}
-		hm, err := mask.Parse(sec)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		valid, err := hm.Broadcast(dims)
-		return valid, corrupt(err)
-	case h.flags&flagPointMask != 0:
-		sec, err := sr.next(blob, &pos, secMask)
-		if err != nil {
-			return nil, err
-		}
-		return unpackBitmap(sec, grid.Volume(dims))
+	tmplSec, err := sr.next(blob, pos, secTemplate)
+	if err != nil {
+		return nil, nil, maskedFill{}, err
 	}
-	return nil, ErrCorrupt
+	resSec, err := sr.next(blob, pos, secResidual)
+	if err != nil {
+		return nil, nil, maskedFill{}, err
+	}
+	if !sr.done() {
+		return nil, nil, maskedFill{}, ErrCorrupt
+	}
+	// The template's masked points are never read: compose overwrites
+	// them with the fill.
+	tpos := 0
+	tmpl, tmplDims, _, err := decodeAt(tmplSec, &tpos, opt.prefixed("template"))
+	if err != nil {
+		return nil, nil, maskedFill{}, fmt.Errorf("core: template: %w", err)
+	}
+	if len(tmplDims) != len(h.dims) || tmplDims[0] != h.pipe.Period || !dimsEqual(tmplDims[1:], h.dims[1:]) {
+		return nil, nil, maskedFill{}, ErrCorrupt
+	}
+	rpos := 0
+	data, resDims, mf, err := decodeAt(resSec, &rpos, opt.prefixed("residual"))
+	if err != nil {
+		return nil, nil, maskedFill{}, fmt.Errorf("core: residual: %w", err)
+	}
+	if !dimsEqual(resDims, h.dims) {
+		return nil, nil, maskedFill{}, ErrCorrupt
+	}
+	sp := trace.Begin(c, "compose")
+	if h.flags&(flagMask|flagPointMask) != 0 {
+		// The residual's mask is the blob's; its points take the
+		// wrapper's fill.
+		if mf.v.none() {
+			return nil, nil, maskedFill{}, ErrCorrupt
+		}
+		mf.fill = h.fill
+	} else {
+		// A wrapper that declares no mask composes the residual's fill.
+		mf.v.writeFill(data, mf.fill)
+		mf = maskedFill{}
+	}
+	addTemplate(data, tmpl, h.dims, h.pipe.Period)
+	sp.EndFull(0, int64(len(data))*4, int64(len(data)), nil)
+	return data, h.dims, mf, nil
 }
 
 // checkDecodeBudget gates a declared volume against the hard decode caps and
@@ -905,55 +957,49 @@ func checkDecodeBudget(vol, avail int) error {
 	return nil
 }
 
-func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]float32, []int, error) {
+// decompressUnit decodes a unit blob whose header h is parsed. Like
+// decodeAt it leaves the fill to the caller.
+func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]float32, []int, maskedFill, error) {
 	c := opt.Trace
 	workers := opt.workers()
 	dims := h.dims
 	p := h.pipe
 	vol := grid.Volume(dims)
+	var v validity
 	if err := checkDecodeBudget(vol, len(blob)-*pos); err != nil {
-		return nil, nil, err
+		return nil, nil, maskedFill{}, err
 	}
 	sr := sectionReader{h: &h}
-	var validOrig, tvalid []bool
 	sp := trace.Begin(c, "mask")
 	switch {
 	case h.flags&flagMask != 0:
 		sec, err := sr.next(blob, pos, secMask)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, maskedFill{}, err
 		}
 		hm, err := mask.Parse(sec)
 		if err != nil {
-			return nil, nil, corrupt(err)
+			return nil, nil, maskedFill{}, corrupt(err)
 		}
 		nLat, nLon := latLon(dims)
 		if hm.NLat != nLat || hm.NLon != nLon {
-			return nil, nil, ErrCorrupt
+			return nil, nil, maskedFill{}, ErrCorrupt
 		}
-		validOrig, err = hm.Broadcast(dims)
-		if err != nil {
-			return nil, nil, corrupt(err)
-		}
+		v.hm = hm
 	case h.flags&flagPointMask != 0:
 		sec, err := sr.next(blob, pos, secMask)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, maskedFill{}, err
 		}
-		var err2 error
-		validOrig, err2 = unpackBitmap(sec, vol)
-		if err2 != nil {
-			return nil, nil, err2
+		if v.pts, err = unpackBitmap(sec, vol); err != nil {
+			return nil, nil, maskedFill{}, err
 		}
 	}
-	if validOrig != nil {
-		var err2 error
-		tvalid, err2 = grid.TransposeWorkers(validOrig, dims, p.Perm, workers)
-		if err2 != nil {
-			return nil, nil, corrupt(err2)
-		}
+	tvalid, err := v.logical(dims, p.Perm, workers)
+	if err != nil {
+		return nil, nil, maskedFill{}, corrupt(err)
 	}
-	sp.EndFull(0, int64(len(validOrig)), int64(len(validOrig)), nil)
+	sp.EndFull(0, int64(len(tvalid)), int64(len(tvalid)), nil)
 	tdims := grid.PermuteDims(dims, p.Perm)
 	// Mirror the encoder's layout decision. The choice is local: blobs carry
 	// no trace of which path wrote them, and either path decodes any blob to
@@ -972,43 +1018,43 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 	if h.flags&flagClassify != 0 {
 		metaSec, err := sr.next(blob, pos, secClassMeta)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, maskedFill{}, err
 		}
 		aSec, err := sr.next(blob, pos, secBinsA)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, maskedFill{}, err
 		}
 		bSec, err := sr.next(blob, pos, secBinsB)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, maskedFill{}, err
 		}
 		nLat, nLon := latLon(dims)
 		cls, err := classify.UnpackMeta(metaSec, nLat*nLon)
 		if err != nil {
-			return nil, nil, corrupt(err)
+			return nil, nil, maskedFill{}, corrupt(err)
 		}
 		a, err := decodeSymbolSectionWorkers(aSec, workers, vol)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, maskedFill{}, err
 		}
 		b, err := decodeSymbolSectionWorkers(bSec, workers, vol)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, maskedFill{}, err
 		}
 		colOf := columnIDs(dims, p.Perm)
 		bins, err = classify.Merge(a, b, colOf, tvalid, cls)
 		if err != nil {
-			return nil, nil, corrupt(err)
+			return nil, nil, maskedFill{}, corrupt(err)
 		}
 		classify.UnshiftBins(bins, colOf, tvalid, cls)
 	} else {
 		sec, err := sr.next(blob, pos, secBins)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, maskedFill{}, err
 		}
 		syms, err := decodeSymbolSectionWorkers(sec, workers, vol)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, maskedFill{}, err
 		}
 		bins = make([]int32, vol)
 		si := 0
@@ -1017,31 +1063,31 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 				continue
 			}
 			if si >= len(syms) {
-				return nil, nil, ErrCorrupt
+				return nil, nil, maskedFill{}, ErrCorrupt
 			}
 			bins[i] = int32(syms[si])
 			si++
 		}
 		if si != len(syms) {
-			return nil, nil, ErrCorrupt
+			return nil, nil, maskedFill{}, ErrCorrupt
 		}
 	}
 	sp.EndFull(int64(*pos-binsStart), int64(len(bins))*4, int64(len(bins)), nil)
 	sp = trace.Begin(c, "literals-decode")
 	litSec, err := sr.next(blob, pos, secLiterals)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, maskedFill{}, err
 	}
 	if !sr.done() {
-		return nil, nil, ErrCorrupt
+		return nil, nil, maskedFill{}, ErrCorrupt
 	}
 	litBytes, err := lossless.Decode(litSec)
 	if err != nil {
-		return nil, nil, corrupt(err)
+		return nil, nil, maskedFill{}, corrupt(err)
 	}
 	lits, err := bytesToFloat32s(litBytes)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, maskedFill{}, err
 	}
 	sp.EndFull(int64(len(litSec)), int64(len(litBytes)), int64(len(lits)), nil)
 	recName := "reconstruct"
@@ -1051,14 +1097,14 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 	sp = trace.Begin(c, recName)
 	out := make([]float32, vol)
 	if err := reconstructSections(bins, lits, lay, tvalid, h, workers, h.psections, c, out); err != nil {
-		return nil, nil, corrupt(err)
+		return nil, nil, maskedFill{}, corrupt(err)
 	}
 	sp.EndFull(int64(len(bins))*4, int64(len(out))*4, int64(len(out)), nil)
 	if opt.BoundCheckEvery > 0 {
 		sp = trace.Begin(c, "verify-bound")
 		n, err := verifySections(bins, lits, lay, tvalid, h, workers, h.psections, opt.BoundCheckEvery, out)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: bound self-verification: %w", corrupt(err))
+			return nil, nil, maskedFill{}, fmt.Errorf("core: bound self-verification: %w", corrupt(err))
 		}
 		if opt.stats != nil {
 			opt.stats.boundChecked.Add(int64(n))
@@ -1068,15 +1114,15 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 	// Under the fused layout the reconstruction already sits in the original
 	// array layout; the legacy path transposes back.
 	if fused {
-		return out, dims, nil
+		return out, dims, maskedFill{v, h.fill}, nil
 	}
 	sp = trace.Begin(c, "unpermute")
 	data, err := grid.TransposeWorkers(out, tdims, grid.InversePerm(p.Perm), workers)
 	if err != nil {
-		return nil, nil, corrupt(err)
+		return nil, nil, maskedFill{}, corrupt(err)
 	}
 	sp.EndFull(int64(len(out))*4, int64(len(data))*4, int64(len(data)), nil)
-	return data, dims, nil
+	return data, dims, maskedFill{v, h.fill}, nil
 }
 
 // decodeSymbolSectionWorkers lossless-decodes and entropy-decodes one

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -254,6 +255,33 @@ func TestDecompressCorrupt(t *testing.T) {
 	}
 }
 
+// TestPeriodicTemplateShapeMismatch wraps a well-formed template of the
+// right rank and period but smaller trailing extents in a periodic blob:
+// compose would index past it, so the decoder must reject it as corrupt.
+func TestPeriodicTemplateShapeMismatch(t *testing.T) {
+	dims := []int{24, 10, 12}
+	data, v := maskDigestInput(dims, false, 1e35)
+	p := Pipeline{Perm: []int{0, 1, 2}, Fusion: grid.NoFusion(3), Fitting: predict.Cubic,
+		UseMask: true, Period: 12}
+	pr, err := predictGeneral(data, dims, v, 0.06, p, 1e35, Options{}, nil)
+	if err != nil || pr.per == nil {
+		t.Fatalf("no periodic prediction: %v", err)
+	}
+	small, _, err := compressGeneral(make([]float32, 12*5*12), []int{12, 5, 12}, validity{}, 0.06,
+		Pipeline{Perm: []int{0, 1, 2}, Fusion: grid.NoFusion(3), Fitting: predict.Cubic}, 0, Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.per.tmplBlob = small
+	blob, err := pr.encode(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decompress(blob); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("template of the wrong shape: error %v, want ErrCorrupt", err)
+	}
+}
+
 func TestColumnIDs(t *testing.T) {
 	dims := []int{2, 3, 4} // (t, lat, lon): 12 columns
 	ident := columnIDs(dims, []int{0, 1, 2})
@@ -298,9 +326,9 @@ func TestBuildTemplateMath(t *testing.T) {
 		}
 	}
 	res := subtractTemplate(data, tmpl, dims, 2, nil, 0)
-	back := addTemplate(res, tmpl, dims, 2)
+	addTemplate(res, tmpl, dims, 2)
 	for i := range data {
-		if back[i] != data[i] {
+		if res[i] != data[i] {
 			t.Fatalf("add/subtract not inverse at %d", i)
 		}
 	}
@@ -325,6 +353,46 @@ func TestBuildTemplateMasked(t *testing.T) {
 		if tmplValid[i] != want[i] {
 			t.Fatalf("template validity %v", tmplValid)
 		}
+	}
+}
+
+// TestStepValidityMatchesFullBitmap holds the periodic stages, fed one
+// shared time step of a horizontal mask, to the same stages fed the full
+// broadcast bitmap, bit for bit, on a 4-D grid (an inner height axis).
+func TestStepValidityMatchesFullBitmap(t *testing.T) {
+	dims := []int{36, 3, 5, 6}
+	rng := rand.New(rand.NewSource(9))
+	regions := make([]int32, 5*6)
+	for i := range regions {
+		regions[i] = int32(rng.Intn(3))
+	}
+	hm := mask.New(5, 6, regions)
+	full, err := hm.Broadcast(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step, err := validity{hm: hm}.stepValidity(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(step) != 3*5*6 {
+		t.Fatalf("step validity of %d points, want one step (%d)", len(step), 3*5*6)
+	}
+	data := make([]float32, grid.Volume(dims))
+	for i := range data {
+		data[i] = float32(rng.NormFloat64() * 100)
+	}
+	const fill float32 = -7
+	tf, _, tvFull := buildTemplate(data, dims, full, 12, fill)
+	ts, _, tvStep := buildTemplate(data, dims, step, 12, fill)
+	if !bitsEqual(tf, ts) || tvStep != nil || len(tvFull) != len(tf) {
+		t.Fatal("buildTemplate: a shared step differs from the full bitmap")
+	}
+	if !bitsEqual(subtractTemplate(data, tf, dims, 12, full, fill), subtractTemplate(data, tf, dims, 12, step, fill)) {
+		t.Fatal("subtractTemplate: a shared step differs from the full bitmap")
+	}
+	if a, b := compositionSlack(data, tf, dims, 12, full), compositionSlack(data, tf, dims, 12, step); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("compositionSlack: %g with the full bitmap, %g with a shared step", a, b)
 	}
 }
 
@@ -452,7 +520,7 @@ func TestAutoTuneDeterminism(t *testing.T) {
 
 func TestSampleConcatShape(t *testing.T) {
 	ds := smallSSH()
-	smp := sampleConcat(ds, 0.01, 12)
+	smp := sampleConcat(ds, ds.Validity(), 0.01, 12)
 	total := grid.Volume(smp.dims)
 	if total >= ds.Points()/2 {
 		t.Fatalf("sample too large: %d of %d", total, ds.Points())
@@ -476,7 +544,7 @@ func TestSampleConcatShape(t *testing.T) {
 
 func TestSampleConcatMaskMatchesData(t *testing.T) {
 	ds := smallSSH()
-	smp := sampleConcat(ds, 0.05, 0)
+	smp := sampleConcat(ds, ds.Validity(), 0.05, 0)
 	if smp.valid == nil {
 		t.Fatal("masked dataset produced unmasked sample")
 	}
@@ -493,7 +561,7 @@ func TestSampleConcatMaskMatchesData(t *testing.T) {
 
 func TestSampleConcatFullRate(t *testing.T) {
 	ds := smallHurricane()
-	smp := sampleConcat(ds, 1.0, 0)
+	smp := sampleConcat(ds, ds.Validity(), 1.0, 0)
 	if grid.Volume(smp.dims) != ds.Points() {
 		t.Fatal("rate 1 should use the whole dataset")
 	}

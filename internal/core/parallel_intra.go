@@ -77,7 +77,7 @@ func sectionBounds(n, k int) []int {
 // physical footprints are disjoint and the engines never race. P==1 degrades
 // to one engine over the whole grid on the calling goroutine.
 func predictSections(work []float32, bins []int32, lay grid.Layout, tvalid []bool, eb float64,
-	p Pipeline, fill float32, opt Options, P int) ([]float32, error) {
+	p Pipeline, opt Options, P int) ([]float32, error) {
 
 	fdims := lay.Dims
 	vol := grid.Volume(fdims)
@@ -105,7 +105,7 @@ func predictSections(work []float32, bins []int32, lay grid.Layout, tvalid []boo
 		var err error
 		if p.Fitting == predict.Lorenzo {
 			lits, err = lorenzo.CompressLayout(work, slay, lorenzo.Config{
-				EB: eb, Radius: opt.radius(), Valid: svalid, FillValue: fill,
+				EB: eb, Radius: opt.radius(), Valid: svalid,
 			}, bins[lo:hi])
 		} else {
 			lits, err = interp.CompressLayout(work, slay, interp.Config{
@@ -113,7 +113,6 @@ func predictSections(work []float32, bins []int32, lay grid.Layout, tvalid []boo
 				Radius:        opt.radius(),
 				Fitting:       p.Fitting,
 				Valid:         svalid,
-				FillValue:     fill,
 				LevelEBFactor: levelEBFactor(p.LevelAlpha),
 			}, bins[lo:hi])
 		}
@@ -176,7 +175,7 @@ func reconstructSections(bins []int32, lits []float32, lay grid.Layout, tvalid [
 		sp := trace.Begin(stc, "reconstruct")
 		if h.pipe.Fitting == predict.Lorenzo {
 			errs[i] = lorenzo.DecompressLayout(bins[lo:hi], lits[litStart[i]:], slay, lorenzo.Config{
-				EB: h.eb, Radius: h.radius, Valid: svalid, FillValue: h.fill,
+				EB: h.eb, Radius: h.radius, Valid: svalid,
 			}, out)
 		} else {
 			errs[i] = interp.DecompressLayout(bins[lo:hi], lits[litStart[i]:], slay, interp.Config{
@@ -184,7 +183,6 @@ func reconstructSections(bins []int32, lits []float32, lay grid.Layout, tvalid [
 				Radius:        h.radius,
 				Fitting:       h.pipe.Fitting,
 				Valid:         svalid,
-				FillValue:     h.fill,
 				LevelEBFactor: levelEBFactor(h.pipe.LevelAlpha),
 			}, out)
 		}
@@ -202,7 +200,8 @@ func reconstructSections(bins []int32, lits []float32, lay grid.Layout, tvalid [
 // section's literal-stream start. Each section consumes exactly one literal
 // per valid bin-0 point it handles; prefix sums give every section its slice
 // start. Slices are open-ended past the start so section-local underrun
-// checks match the serial engine's.
+// checks match the serial engine's. A single section starts at 0 without a
+// count: its engine rejects an underrun itself.
 func sectionLitStarts(bins []int32, lits []float32, fdims []int, tvalid []bool, P int) ([]int, []int, error) {
 	if len(fdims) == 0 || fdims[0] < P || P < 1 {
 		return nil, nil, ErrCorrupt
@@ -211,6 +210,9 @@ func sectionLitStarts(bins []int32, lits []float32, fdims []int, tvalid []bool, 
 	nSec := len(bounds) - 1
 	plane := len(bins) / fdims[0]
 	litStart := make([]int, nSec+1)
+	if nSec == 1 {
+		return bounds, litStart, nil
+	}
 	for i := 0; i < nSec; i++ {
 		lo, hi := bounds[i]*plane, bounds[i+1]*plane
 		cnt := 0
@@ -253,7 +255,7 @@ func verifySections(bins []int32, lits []float32, lay grid.Layout, tvalid []bool
 		}
 		if h.pipe.Fitting == predict.Lorenzo {
 			counts[i], errs[i] = lorenzo.VerifyLayout(bins[lo:hi], lits[litStart[i]:], slay, lorenzo.Config{
-				EB: h.eb, Radius: h.radius, Valid: svalid, FillValue: h.fill,
+				EB: h.eb, Radius: h.radius, Valid: svalid,
 			}, recon, every)
 		} else {
 			counts[i], errs[i] = interp.VerifyLayout(bins[lo:hi], lits[litStart[i]:], slay, interp.Config{
@@ -261,7 +263,6 @@ func verifySections(bins []int32, lits []float32, lay grid.Layout, tvalid []bool
 				Radius:        h.radius,
 				Fitting:       h.pipe.Fitting,
 				Valid:         svalid,
-				FillValue:     h.fill,
 				LevelEBFactor: levelEBFactor(h.pipe.LevelAlpha),
 			}, recon, every)
 		}

@@ -2,11 +2,51 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
 
+	"cliz/internal/grid"
 	"cliz/internal/predict"
 )
+
+// TestShortLiteralStreamCorrupt writes masked unit blobs whose literal
+// stream is one literal short, and empty, and requires ErrCorrupt from the
+// decoder, with both engines, for one predict section (whose literal count
+// the decoder does not precompute: the engine catches the underrun) and for
+// two (where the section prefix sums catch it).
+func TestShortLiteralStreamCorrupt(t *testing.T) {
+	dims := []int{48, 40, 40}
+	data, v := maskDigestInput(dims, false, 1e35)
+	for i := 0; i < len(data); i += 37 {
+		data[i] += 50 // spikes the radius-4 quantizer cannot reach
+	}
+	for _, fit := range []predict.Fitting{predict.Cubic, predict.Lorenzo} {
+		for _, workers := range []int{1, 2} {
+			p := Pipeline{Perm: []int{0, 2, 1}, Fusion: grid.NoFusion(3), Fitting: fit, UseMask: true}
+			opt := Options{Workers: workers, Radius: 4, sectionLeadFloor: 4}
+			u, err := predictUnit(data, dims, v, 0.06, p, 1e35, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if u.P != workers || len(u.lits) < 2 {
+				t.Fatalf("%v P=%d: %d sections, %d literals", fit, workers, u.P, len(u.lits))
+			}
+			lits := u.lits
+			for _, keep := range []int{len(lits) - 1, 0} {
+				u.lits, u.litEnc = lits[:keep], nil
+				blob, err := u.encode(false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := Decompress(blob); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%v P=%d, %d of %d literals: error %v, want ErrCorrupt",
+						fit, workers, keep, len(lits), err)
+				}
+			}
+		}
+	}
+}
 
 // TestChunkedPlaneMismatchRejected pins the fix for the chunked decoder's
 // dims validation: a container whose trailing dims disagree with the

@@ -79,7 +79,7 @@ func PeriodicResidual(ds *dataset.Dataset, period int, tmplPipe Pipeline) ([]flo
 	if tmplPipe.UseMask {
 		v.hm = ds.Mask
 	}
-	valid, err := v.bitmap(ds.Dims)
+	valid, err := v.stepValidity(ds.Dims)
 	if err != nil {
 		return nil, err
 	}
@@ -98,11 +98,26 @@ func PeriodicResidual(ds *dataset.Dataset, period int, tmplPipe Pipeline) ([]flo
 	return subtractTemplate(ds.Data, tmplRecon, ds.Dims, period, valid, ds.FillValue), nil
 }
 
+// planeValid returns the validity of time step t (plane points) out of a
+// stepValidity: the step's window of a full bitmap, or the one step a
+// horizontal map gives every index. Nil stays nil.
+func planeValid(valid []bool, t, plane int) []bool {
+	if len(valid) == plane {
+		return valid
+	}
+	if valid == nil {
+		return nil
+	}
+	return valid[t*plane : (t+1)*plane]
+}
+
 // buildTemplate computes the template data (paper §VI-D): the per-phase mean
 // across all periods, using valid contributions only. Output dims are
-// [period, dims[1:]...]. It also returns the template's validity bitmap
-// (nil when valid is nil): a template cell is valid when at least one
-// contributing point was valid; invalid cells hold the fill value.
+// [period, dims[1:]...]. valid is a stepValidity. For a full bitmap it also
+// returns the template's validity (a template cell is valid when at least
+// one contributing point was valid); for a single shared step and for nil
+// that is nil, as the template shares the data's mask. Invalid cells hold
+// the fill value.
 func buildTemplate(data []float32, dims []int, valid []bool, period int, fill float32) ([]float32, []int, []bool) {
 	nT := dims[0]
 	plane := 1
@@ -110,35 +125,48 @@ func buildTemplate(data []float32, dims []int, valid []bool, period int, fill fl
 		plane *= d
 	}
 	tmplDims := append([]int{period}, dims[1:]...)
+	// A full bitmap counts contributions per cell; otherwise every valid
+	// cell of a phase has one per period, so one counter per phase suffices.
+	full := valid != nil && len(valid) != plane
 	sum := make([]float64, period*plane)
 	var cnt []int32
-	if valid != nil {
+	if full {
 		cnt = make([]int32, period*plane)
 	} else {
-		cnt = make([]int32, period) // one counter per phase suffices
+		cnt = make([]int32, period)
 	}
 	for t := 0; t < nT; t++ {
 		ph := t % period
-		off := t * plane
-		toff := ph * plane
-		if valid == nil {
+		d := data[t*plane : (t+1)*plane]
+		sm := sum[ph*plane : (ph+1)*plane]
+		vp := planeValid(valid, t, plane)
+		switch {
+		case vp == nil:
 			cnt[ph]++
-			for p := 0; p < plane; p++ {
-				sum[toff+p] += float64(data[off+p])
+			for p, x := range d {
+				sm[p] += float64(x)
 			}
-			continue
-		}
-		for p := 0; p < plane; p++ {
-			if valid[off+p] {
-				sum[toff+p] += float64(data[off+p])
-				cnt[toff+p]++
+		case full:
+			c := cnt[ph*plane : (ph+1)*plane]
+			for p, x := range d {
+				if vp[p] {
+					sm[p] += float64(x)
+					c[p]++
+				}
+			}
+		default:
+			cnt[ph]++
+			for p, x := range d {
+				if vp[p] {
+					sm[p] += float64(x)
+				}
 			}
 		}
 	}
 	out := make([]float32, period*plane)
-	var tmplValid []bool
-	if valid != nil {
-		tmplValid = make([]bool, period*plane)
+	switch {
+	case full:
+		tmplValid := make([]bool, period*plane)
 		for i := range out {
 			if cnt[i] == 0 {
 				out[i] = fill
@@ -148,6 +176,19 @@ func buildTemplate(data []float32, dims []int, valid []bool, period int, fill fl
 			out[i] = float32(sum[i] / float64(cnt[i]))
 		}
 		return out, tmplDims, tmplValid
+	case valid != nil:
+		for ph := 0; ph < period; ph++ {
+			n := float64(cnt[ph])
+			for p, ok := range valid {
+				idx := ph*plane + p
+				if !ok {
+					out[idx] = fill
+					continue
+				}
+				out[idx] = float32(sum[idx] / n)
+			}
+		}
+		return out, tmplDims, nil
 	}
 	for ph := 0; ph < period; ph++ {
 		inv := 1.0 / float64(cnt[ph])
@@ -160,38 +201,40 @@ func buildTemplate(data []float32, dims []int, valid []bool, period int, fill fl
 }
 
 // subtractTemplate returns data − tiled template (residual); masked points
-// hold the fill value. The template passed here is normally the *lossy
-// reconstruction* so the residual's error bound alone bounds the composed
-// error.
+// hold the fill value. valid is a stepValidity. The template passed here is
+// normally the *lossy reconstruction* so the residual's error bound alone
+// bounds the composed error.
 func subtractTemplate(data, tmpl []float32, dims []int, period int, valid []bool, fill float32) []float32 {
 	nT := dims[0]
 	plane := len(data) / nT
 	out := make([]float32, len(data))
 	for t := 0; t < nT; t++ {
-		ph := t % period
-		for p := 0; p < plane; p++ {
-			idx := t*plane + p
-			if valid != nil && !valid[idx] {
-				out[idx] = fill
+		d := data[t*plane : (t+1)*plane]
+		o := out[t*plane : (t+1)*plane]
+		tm := tmpl[(t%period)*plane:][:plane]
+		vp := planeValid(valid, t, plane)
+		for p := range o {
+			if vp != nil && !vp[p] {
+				o[p] = fill
 				continue
 			}
-			out[idx] = data[idx] - tmpl[ph*plane+p]
+			o[p] = d[p] - tm[p]
 		}
 	}
 	return out
 }
 
-// addTemplate reverses subtractTemplate (without mask handling — callers
-// re-apply fill values afterwards).
-func addTemplate(residual, tmpl []float32, dims []int, period int) []float32 {
+// addTemplate reverses subtractTemplate in place, adding the tiled template
+// into residual. It does not touch the mask: callers write the fill values
+// afterwards.
+func addTemplate(residual, tmpl []float32, dims []int, period int) {
 	nT := dims[0]
 	plane := len(residual) / nT
-	out := make([]float32, len(residual))
 	for t := 0; t < nT; t++ {
-		ph := t % period
-		for p := 0; p < plane; p++ {
-			out[t*plane+p] = residual[t*plane+p] + tmpl[ph*plane+p]
+		r := residual[t*plane : (t+1)*plane]
+		tm := tmpl[(t%period)*plane:][:plane]
+		for p := range r {
+			r[p] += tm[p]
 		}
 	}
-	return out
 }

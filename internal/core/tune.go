@@ -133,12 +133,9 @@ type sample struct {
 // a per-point bitmap. For periodic datasets the blocks' time extents are
 // widened to whole multiples of the period and their time origins snapped to
 // phase 0, so the concatenated time axis stays phase-aligned and periodic
-// candidates remain testable.
-func sampleConcat(ds *dataset.Dataset, rate float64, period int) sample {
-	var validOrig []bool
-	if ds.Mask != nil {
-		validOrig, _ = ds.Mask.Broadcast(ds.Dims)
-	}
+// candidates remain testable. validOrig is ds.Validity(), which AutoTune
+// builds once for all of its samples.
+func sampleConcat(ds *dataset.Dataset, validOrig []bool, rate float64, period int) sample {
 	if rate >= 1 {
 		return sample{data: ds.Data, dims: ds.Dims, valid: validOrig}
 	}
@@ -199,12 +196,8 @@ func sampleConcat(ds *dataset.Dataset, rate float64, period int) sample {
 // so the refinement stage ranks predictors on data whose smoothness
 // structure matches the full field (seams systematically penalize the
 // long-range cubic fitting). Periodic data keeps a phase-aligned time extent
-// of at least two periods.
-func sampleCentral(ds *dataset.Dataset, rate float64, period int) sample {
-	var validOrig []bool
-	if ds.Mask != nil {
-		validOrig, _ = ds.Mask.Broadcast(ds.Dims)
-	}
+// of at least two periods. validOrig is ds.Validity(), as for sampleConcat.
+func sampleCentral(ds *dataset.Dataset, validOrig []bool, rate float64, period int) sample {
 	if rate >= 1 {
 		return sample{data: ds.Data, dims: ds.Dims, valid: validOrig}
 	}
@@ -331,7 +324,8 @@ func AutoTune(ds *dataset.Dataset, eb float64, tc TuneConfig, opt Options) (Pipe
 	}
 	sp.EndFull(0, 0, int64(period), nil)
 	sp = trace.Begin(tcol, "tune/sample")
-	smp := sampleConcat(ds, rate, period)
+	validOrig := ds.Validity()
+	smp := sampleConcat(ds, validOrig, rate, period)
 	samplePoints := grid.Volume(smp.dims)
 	sp.EndFull(int64(len(ds.Data))*4, int64(samplePoints)*4, int64(samplePoints), nil)
 	sp = trace.Begin(tcol, "tune/search")
@@ -382,7 +376,7 @@ func AutoTune(ds *dataset.Dataset, eb float64, tc TuneConfig, opt Options) (Pipe
 		refRate := math.Min(rate*8, 1)
 		var probe armResult
 		for attempt := 0; ; attempt++ {
-			refSmp = sampleCentral(ds, refRate, period)
+			refSmp = sampleCentral(ds, validOrig, refRate, period)
 			rs, err := t.compress(refSmp, best)
 			if err != nil {
 				return Pipeline{}, nil, err
@@ -787,17 +781,18 @@ func (m *tuneMemo) packedMask(v []bool) []byte {
 	return ms
 }
 
-// transposedValidity returns valid (of shape dims) transposed by perm.
-func (m *tuneMemo) transposedValidity(valid []bool, dims, perm []int, workers int) ([]bool, error) {
-	if m == nil {
-		return grid.TransposeWorkers(valid, dims, perm, workers)
+// logicalValidity returns v.logical(dims, perm, workers). Only point
+// bitmaps are kept: the tuner's samples carry no horizontal map.
+func (m *tuneMemo) logicalValidity(v validity, dims, perm []int, workers int) ([]bool, error) {
+	if m == nil || v.pts == nil {
+		return v.logical(dims, perm, workers)
 	}
-	k := shapedKey{keyOf(valid), fmt.Sprint(dims, perm)}
+	k := shapedKey{keyOf(v.pts), fmt.Sprint(dims, perm)}
 	if tv, ok := m.tvalid[k]; ok {
 		m.hits++
 		return tv, nil
 	}
-	tv, err := grid.TransposeWorkers(valid, dims, perm, workers)
+	tv, err := v.logical(dims, perm, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -31,9 +31,9 @@ func TestClassifyPairMatchesDirect(t *testing.T) {
 		eb     float64
 		masked bool
 	}{
-		{"ssh", sampleConcat(ssh, 0.01, period), EnumeratePipelines(3, period, true, TuneConfig{}),
+		{"ssh", sampleConcat(ssh, ssh.Validity(), 0.01, period), EnumeratePipelines(3, period, true, TuneConfig{}),
 			ssh.FillValue, ssh.AbsErrorBound(1e-2), true},
-		{"hurricane", sampleConcat(hur, 0.01, 0), EnumeratePipelines(3, 0, false, TuneConfig{}),
+		{"hurricane", sampleConcat(hur, hur.Validity(), 0.01, 0), EnumeratePipelines(3, 0, false, TuneConfig{}),
 			hur.FillValue, hur.AbsErrorBound(1e-2), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,7 +81,7 @@ func TestClassifyPairMatchesDirect(t *testing.T) {
 					p    Pipeline
 					blob []byte
 				}{{p, off}, {q, on}} {
-					direct, _, err := compressGeneral(tc.smp.data, tc.smp.dims, v, tc.eb, arm.p, tc.fill, Options{})
+					direct, _, err := compressGeneral(tc.smp.data, tc.smp.dims, v, tc.eb, arm.p, tc.fill, Options{}, false)
 					if err != nil {
 						t.Fatalf("[%s] direct: %v", arm.p, err)
 					}
@@ -120,7 +120,7 @@ func TestTuneInterruptInsidePair(t *testing.T) {
 	polls := 0
 	count := &tuner{eb: eb, fill: ds.FillValue, memo: newTuneMemo(),
 		opt: Options{Interrupt: func() error { polls++; return nil }}}
-	smp := sampleConcat(ds, 0.01, 0)
+	smp := sampleConcat(ds, ds.Validity(), 0.01, 0)
 	if _, err := count.compress(smp, cands[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestAlphaLadderCompressesTemplateOnce(t *testing.T) {
 func TestScratchOutlivesNoResult(t *testing.T) {
 	ds := smallSSH()
 	period := DetectPeriod(ds, 0)
-	smp := sampleConcat(ds, 0.01, period)
+	smp := sampleConcat(ds, ds.Validity(), 0.01, period)
 	eb := ds.AbsErrorBound(1e-2)
 	v := validity{pts: smp.valid}
 	memo := newTuneMemo()
@@ -257,7 +257,7 @@ func TestScratchOutlivesNoResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, direct, err := compressGeneral(smp.data, smp.dims, v, eb, p, ds.FillValue, Options{})
+		_, direct, err := compressGeneral(smp.data, smp.dims, v, eb, p, ds.FillValue, Options{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,8 +54,8 @@ func TestSamplingFindsValidDataOnBandedMask(t *testing.T) {
 	ds := datagen.Tsfc(0.1)
 	period := DetectPeriod(ds, 10)
 	for _, smp := range []sample{
-		sampleConcat(ds, 0.01, period),
-		sampleCentral(ds, 0.08, period),
+		sampleConcat(ds, ds.Validity(), 0.01, period),
+		sampleCentral(ds, ds.Validity(), 0.08, period),
 	} {
 		if smp.valid == nil {
 			t.Fatal("no validity on masked dataset")

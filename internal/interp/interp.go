@@ -14,7 +14,8 @@
 //   - Mask awareness (§VI-B): a reference that is out of bounds *or* masked
 //     is marked invalid, and the fitting coefficients degrade through the
 //     closed form of Theorem 1 (package predict). Masked target points are
-//     skipped entirely — they produce no quantization bin.
+//     skipped entirely — they produce no quantization bin and are never
+//     written; the caller stores any fill value.
 //   - Per-level error bounds (QoZ): Config.LevelEBFactor scales the error
 //     bound per level; factors ≤ 1 keep the global bound intact.
 //
@@ -55,7 +56,9 @@ import (
 var ErrCorrupt = errors.New("interp: corrupt compressed stream")
 
 // Config parameterizes one engine run. The same Config must be used for
-// Compress and Decompress.
+// Compress and Decompress. The engine only predicts: it writes no fill
+// value, and masked points keep what the buffer held (the input values on
+// compression, the caller's contents on decompression).
 type Config struct {
 	// EB is the absolute error bound (> 0).
 	EB float64
@@ -70,8 +73,6 @@ type Config struct {
 	// LevelEBFactor, if non-nil, scales the error bound at each level
 	// (level 1 = finest). Factors must be in (0, 1] to preserve the bound.
 	LevelEBFactor func(level int) float64
-	// FillValue is written to masked positions on decompression.
-	FillValue float32
 }
 
 // Result is the compressor-side output of one engine run.
@@ -279,7 +280,6 @@ func CompressLayout(work []float32, lay grid.Layout, cfg Config, bins []int32) (
 	if e.err != nil {
 		return nil, e.err
 	}
-	e.fillMasked()
 	return e.lits, nil
 }
 
@@ -328,7 +328,6 @@ func DecompressLayout(bins []int32, literals []float32, lay grid.Layout, cfg Con
 	if e.err != nil {
 		return e.err
 	}
-	e.fillMasked()
 	return nil
 }
 
@@ -369,30 +368,6 @@ func VerifyLayout(bins []int32, literals []float32, lay grid.Layout, cfg Config,
 	e.lits = literals
 	e.run()
 	return e.vChecked, e.err
-}
-
-// fillMasked writes the fill value to every masked position, addressing the
-// physical buffer through the layout.
-func (e *engine) fillMasked() {
-	if e.cfg.Valid == nil {
-		return
-	}
-	coord := make([]int, e.n)
-	idxP := e.base
-	for idx := 0; idx < e.vol; idx++ {
-		if !e.cfg.Valid[idx] {
-			e.work[idxP] = e.cfg.FillValue
-		}
-		for ax := e.n - 1; ax >= 0; ax-- {
-			coord[ax]++
-			idxP += e.pstrides[ax]
-			if coord[ax] < e.dims[ax] {
-				break
-			}
-			coord[ax] = 0
-			idxP -= e.pstrides[ax] * e.dims[ax]
-		}
-	}
 }
 
 // run executes the full traversal (both directions share it, guaranteeing

@@ -120,7 +120,8 @@ func refPredict(work []float32, dims []int, cfg Config, coord []int, d, stride i
 }
 
 // refCompress is the scalar reference encoder: quant.Quantize at every
-// point, in the engine's order, over logical row-major data.
+// point, in the engine's order, over logical row-major data. Masked points
+// keep their data.
 func refCompress(data []float32, dims []int, cfg Config) (bins []int32, lits []float32, recon []float32) {
 	recon = append([]float32(nil), data...)
 	bins = make([]int32, len(data))
@@ -138,12 +139,11 @@ func refCompress(data []float32, dims []int, cfg Config) (bins []int32, lits []f
 		}
 		bins[idx] = bin
 	})
-	refFill(recon, cfg)
 	return bins, lits, recon
 }
 
 // refDecompress is the scalar reference decoder: quant.Recover at every
-// point.
+// point. Masked points stay zero.
 func refDecompress(bins []int32, lits []float32, dims []int, cfg Config) ([]float32, error) {
 	out := make([]float32, len(bins))
 	pos := 0
@@ -165,16 +165,7 @@ func refDecompress(bins []int32, lits []float32, dims []int, cfg Config) ([]floa
 		}
 		out[idx] = float32(refQuantizer(cfg, level).Recover(pred, bins[idx], lit))
 	})
-	refFill(out, cfg)
 	return out, err
-}
-
-func refFill(out []float32, cfg Config) {
-	for i := range out {
-		if cfg.Valid != nil && !cfg.Valid[i] {
-			out[i] = cfg.FillValue
-		}
-	}
 }
 
 // sameBits reports the first index where two float32 slices differ bit for
@@ -195,7 +186,8 @@ func sameBits(a, b []float32) int {
 // over the original array, so physical and logical steps differ when perm
 // is not the identity) and the scalar reference (over the transposed
 // logical array, whose fusion is a reshape) and requires identical bins,
-// literals, reconstruction and decode output, and a clean verify replay.
+// literals, reconstruction and decode output — masked points included,
+// which neither side writes — and a clean verify replay.
 // The reference visits in line order, so identical literals hold the
 // engine's memory-order traversal to the (line, x) literal order.
 // cfg.Valid is given in original order.
@@ -384,7 +376,7 @@ func TestKernelMatchesReference(t *testing.T) {
 					for _, masked := range []bool{false, true} {
 						kernelLayouts(dims, func(perm []int, fus grid.Fusion) {
 							seed++
-							cfg := Config{EB: eb, Radius: radius, Fitting: fit, FillValue: 1e35}
+							cfg := Config{EB: eb, Radius: radius, Fitting: fit}
 							if seed%2 == 0 {
 								cfg.LevelEBFactor = levelFactor
 							}
@@ -431,7 +423,7 @@ func TestKernelLiteralOrder(t *testing.T) {
 					for i := 0; i < vol; i += k {
 						data[i] = spec[(i/k)%len(spec)]
 					}
-					cfg := Config{EB: 1e-3, Radius: 2, Fitting: fit, FillValue: -1}
+					cfg := Config{EB: 1e-3, Radius: 2, Fitting: fit}
 					if masked {
 						cfg.Valid = randomMask(vol, int64(si))
 					}
@@ -638,9 +630,8 @@ func FuzzKernel(f *testing.F) {
 			mask[i] = (bits*2654435761)>>30 != 0 // about a quarter masked
 		}
 		cfg := Config{
-			EB:        []float64{0.5, 1e-3, 1e-30, 1e308}[mode>>4&3],
-			Fitting:   predict.Linear,
-			FillValue: -9999,
+			EB:      []float64{0.5, 1e-3, 1e-30, 1e308}[mode>>4&3],
+			Fitting: predict.Linear,
 		}
 		if mode&1 != 0 {
 			cfg.Fitting = predict.Cubic

@@ -36,7 +36,9 @@ import (
 // errors.Is(err, ErrCorrupt).
 var ErrCorrupt = errors.New("lorenzo: corrupt compressed stream")
 
-// Config parameterizes a Lorenzo run (mirrors interp.Config).
+// Config parameterizes a Lorenzo run (mirrors interp.Config): masked points
+// are neither predicted nor written, so they keep what the buffer held; the
+// caller stores any fill value.
 type Config struct {
 	// EB is the absolute error bound (> 0).
 	EB float64
@@ -44,8 +46,6 @@ type Config struct {
 	Radius int32
 	// Valid marks usable points in logical order; nil = all valid.
 	Valid []bool
-	// FillValue is written to masked positions on decompression.
-	FillValue float32
 }
 
 // Result mirrors interp.Result.
@@ -232,7 +232,6 @@ func CompressLayout(work []float32, lay grid.Layout, cfg Config, bins []int32) (
 	if e.err != nil {
 		return nil, e.err
 	}
-	e.fillMasked()
 	return e.lits, nil
 }
 
@@ -278,7 +277,6 @@ func DecompressLayout(bins []int32, literals []float32, lay grid.Layout, cfg Con
 	if e.err != nil {
 		return e.err
 	}
-	e.fillMasked()
 	return nil
 }
 
@@ -318,30 +316,6 @@ func VerifyLayout(bins []int32, literals []float32, lay grid.Layout, cfg Config,
 	e.lits = literals
 	e.run()
 	return e.vChecked, e.err
-}
-
-// fillMasked writes the fill value to every masked position through the
-// layout.
-func (e *engine) fillMasked() {
-	if e.cfg.Valid == nil {
-		return
-	}
-	coord := make([]int, e.n)
-	idxP := e.base
-	for idx := 0; idx < e.vol; idx++ {
-		if !e.cfg.Valid[idx] {
-			e.work[idxP] = e.cfg.FillValue
-		}
-		for ax := e.n - 1; ax >= 0; ax-- {
-			coord[ax]++
-			idxP += e.pstrides[ax]
-			if coord[ax] < e.dims[ax] {
-				break
-			}
-			coord[ax] = 0
-			idxP -= e.pstrides[ax] * e.dims[ax]
-		}
-	}
 }
 
 // run scans the grid in row-major order (identical on both sides). Masked

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"cliz/internal/grid"
 	"cliz/internal/lossless"
 )
 
@@ -63,31 +64,111 @@ func (m *Map) Bools() []bool {
 // Broadcast expands the horizontal validity to a full grid of the given dims,
 // whose trailing two dimensions must equal (NLat, NLon); every leading index
 // shares the same horizontal mask. A 1-D grid broadcasts a 1×n mask. Dims
-// that do not fit the mask grid return ErrShape instead of panicking.
+// that do not fit the mask grid return ErrShape instead of panicking. It is
+// Permuted under the identity permutation.
 func (m *Map) Broadcast(dims []int) ([]bool, error) {
-	if len(dims) == 0 {
+	return m.Permuted(dims, nil)
+}
+
+// Permuted returns the per-point validity of a grid of the given dims in
+// the logical order of the permutation perm — logical axis i is axis
+// perm[i] of dims, and nil is the identity — which is what transposing
+// Broadcast(dims) by perm yields. It is written straight from the map a
+// row (innermost logical axis) at a time: a row along the lon (or lat)
+// axis is a copy of a map row (or of a row of the transposed map), a row
+// along a leading axis repeats one cell, and the rows that cover the map
+// once repeat over the logical axes in front of both map axes. Dims that do
+// not fit the map and permutations that are not a bijection of the axes
+// return ErrShape.
+func (m *Map) Permuted(dims, perm []int) ([]bool, error) {
+	n := len(dims)
+	if n == 0 {
 		return nil, fmt.Errorf("mask: broadcast to empty dims: %w", ErrShape)
 	}
-	plane := m.NLat * m.NLon
-	lead := 1
-	if len(dims) == 1 {
+	if n == 1 {
 		if m.NLat != 1 || m.NLon != dims[0] {
 			return nil, fmt.Errorf("mask: %dx%d mask does not fit 1-D grid of %d: %w",
 				m.NLat, m.NLon, dims[0], ErrShape)
 		}
-	} else {
-		if dims[len(dims)-2] != m.NLat || dims[len(dims)-1] != m.NLon {
-			return nil, fmt.Errorf("mask: %dx%d mask does not fit trailing dims of %v: %w",
-				m.NLat, m.NLon, dims, ErrShape)
+	} else if dims[n-2] != m.NLat || dims[n-1] != m.NLon {
+		return nil, fmt.Errorf("mask: %dx%d mask does not fit trailing dims of %v: %w",
+			m.NLat, m.NLon, dims, ErrShape)
+	}
+	if len(m.Regions) != m.NLat*m.NLon {
+		return nil, fmt.Errorf("mask: %d region labels for a %dx%d mask: %w",
+			len(m.Regions), m.NLat, m.NLon, ErrShape)
+	}
+	vol := 1
+	for _, d := range dims {
+		if d < 0 {
+			return nil, fmt.Errorf("mask: negative extent in %v: %w", dims, ErrShape)
 		}
-		for _, d := range dims[:len(dims)-2] {
-			lead *= d
+		vol *= d
+	}
+	if perm == nil {
+		perm = make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+	} else if !grid.ValidPerm(perm, n) {
+		return nil, fmt.Errorf("mask: invalid permutation %v for %d dims: %w", perm, n, ErrShape)
+	}
+	out := make([]bool, vol)
+	if vol == 0 {
+		return out, nil
+	}
+	src := m.Bools()
+	if n == 1 {
+		copy(out, src)
+		return out, nil
+	}
+	// first and second are the logical positions of the two map axes in
+	// logical order; src is the map laid out in that order, cols wide.
+	first, second := -1, -1
+	for i, p := range perm {
+		if p >= n-2 {
+			if first < 0 {
+				first = i
+			} else {
+				second = i
+			}
 		}
 	}
-	hm := m.Bools()
-	out := make([]bool, lead*plane)
-	for l := 0; l < lead; l++ {
-		copy(out[l*plane:(l+1)*plane], hm)
+	cols := m.NLon
+	if perm[first] == n-1 {
+		// lon precedes lat: lay the map out lon-major.
+		t, err := grid.Transpose(src, []int{m.NLat, m.NLon}, []int{1, 0})
+		if err != nil {
+			return nil, err
+		}
+		src, cols = t, m.NLat
+	}
+	tdims := grid.PermuteDims(dims, perm)
+	// The logical axes in front of first do not index the map, so the
+	// block over axes first..n-1 repeats along them.
+	block := grid.Volume(tdims[first:])
+	rowLen := tdims[n-1]
+	co := make([]int, n)
+	for off := 0; off < block; off += rowLen {
+		row := out[off : off+rowLen]
+		cell := co[first] * cols
+		if second == n-1 {
+			copy(row, src[cell:cell+cols])
+		} else if src[cell+co[second]] {
+			for i := range row {
+				row[i] = true
+			}
+		}
+		for ax := n - 2; ax >= first; ax-- {
+			co[ax]++
+			if co[ax] < tdims[ax] {
+				break
+			}
+			co[ax] = 0
+		}
+	}
+	for done := block; done < vol; {
+		done += copy(out[done:], out[:done])
 	}
 	return out, nil
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"cliz/internal/grid"
 )
 
 func TestValidAndCount(t *testing.T) {
@@ -153,5 +155,79 @@ func TestBroadcastShapeMismatch(t *testing.T) {
 	}
 	if _, err := m.Broadcast([]int{7, 2, 3}); err != nil {
 		t.Fatalf("matching dims rejected: %v", err)
+	}
+}
+
+// TestPermutedMatchesTransposedBroadcast is the differential test of
+// Permuted: for every permutation of ranks 1–4 (several shapes each, extent-1
+// axes included) it must equal the transpose of a broadcast built cell by
+// cell, and Broadcast must equal that broadcast.
+func TestPermutedMatchesTransposedBroadcast(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	shapes := [][]int{
+		{9}, {1},
+		{5, 7}, {1, 6}, {6, 1},
+		{4, 5, 6}, {3, 1, 7}, {1, 5, 4}, {6, 4, 1},
+		{3, 4, 5, 6}, {2, 1, 3, 4}, {1, 3, 1, 5}, {2, 3, 4, 1},
+	}
+	for _, dims := range shapes {
+		n := len(dims)
+		nLat, nLon := 1, dims[n-1]
+		if n >= 2 {
+			nLat = dims[n-2]
+		}
+		regions := make([]int32, nLat*nLon)
+		for i := range regions {
+			regions[i] = int32(rng.Intn(3) - 1)
+		}
+		m := New(nLat, nLon, regions)
+		plane := nLat * nLon
+		want := make([]bool, grid.Volume(dims))
+		for i := range want {
+			want[i] = regions[i%plane] != 0
+		}
+		got, err := m.Broadcast(dims)
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: Broadcast differs from the cell-by-cell broadcast", dims)
+		}
+		for _, perm := range grid.Permutations(n) {
+			ref, err := grid.TransposeWorkers(want, dims, perm, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Permuted(dims, perm)
+			if err != nil {
+				t.Fatalf("%v %v: %v", dims, perm, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%v %v: Permuted differs from the transposed broadcast", dims, perm)
+			}
+		}
+	}
+}
+
+func TestPermutedBadShape(t *testing.T) {
+	m := New(3, 4, make([]int32, 12))
+	for _, tc := range []struct {
+		dims, perm []int
+	}{
+		{nil, nil},
+		{[]int{12}, []int{0}},            // rank 1 needs a 1×n map
+		{[]int{5, 4, 3}, []int{0, 1, 2}}, // trailing dims swapped
+		{[]int{5, 3, 4}, []int{0, 1}},    // short permutation
+		{[]int{5, 3, 4}, []int{0, 1, 1}}, // not a bijection
+		{[]int{5, 3, 4}, []int{0, 1, 3}}, // axis out of range
+		{[]int{-2, 3, 4}, nil},           // negative extent
+	} {
+		if _, err := m.Permuted(tc.dims, tc.perm); !errors.Is(err, ErrShape) {
+			t.Errorf("Permuted(%v, %v) error %v, want ErrShape", tc.dims, tc.perm, err)
+		}
+	}
+	bad := New(3, 4, make([]int32, 11)) // fewer labels than cells
+	if _, err := bad.Permuted([]int{2, 3, 4}, nil); !errors.Is(err, ErrShape) {
+		t.Errorf("short region slice: error %v, want ErrShape", err)
 	}
 }
