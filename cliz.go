@@ -329,18 +329,13 @@ func stageInfos(stages []trace.Stage) []StageInfo {
 // Option customizes a Compress, CompressChunked or Decompress call.
 type Option func(*config)
 
-// CompressOption is the historical name of Option, kept as an alias because
-// the decode path now accepts the same options.
-type CompressOption = Option
-
 type config struct {
-	trace        *Trace
-	workers      int
-	boundEvery   int
-	entropy      EntropyKind
-	materialized bool
-	keyframe     int
-	ctx          context.Context
+	trace      *Trace
+	workers    int
+	boundEvery int
+	entropy    EntropyKind
+	keyframe   int
+	ctx        context.Context
 }
 
 // interrupt maps the config's context (if any) onto the core's polling
@@ -410,15 +405,6 @@ func WithEntropy(k EntropyKind) Option {
 // entry points ignore the option. The default is 16.
 func WithKeyframeInterval(k int) Option {
 	return func(c *config) { c.keyframe = k }
-}
-
-// WithMaterializedPermute forces the legacy copy-based permute/unpermute
-// stages instead of the fused stride traversal, on whichever side the
-// option is passed to. Output is bit-identical either way (the fusion is a
-// pure traversal optimization); the switch exists for differential testing
-// and as an escape hatch.
-func WithMaterializedPermute() Option {
-	return func(c *config) { c.materialized = true }
 }
 
 // WithBoundCheck enables decode-time bound self-verification: after the
@@ -506,11 +492,10 @@ func Compress(ds *Dataset, eb ErrorBound, pipe *Pipeline, opts ...Option) ([]byt
 		return nil, nil, err
 	}
 	blob, err := core.Compress(ids, abs, p, core.Options{
-		Trace:               cfg.trace.collector(),
-		Workers:             cfg.workers,
-		Entropy:             cfg.entropy,
-		MaterializedPermute: cfg.materialized,
-		Interrupt:           cfg.interrupt(),
+		Trace:     cfg.trace.collector(),
+		Workers:   cfg.workers,
+		Entropy:   cfg.entropy,
+		Interrupt: cfg.interrupt(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -528,11 +513,10 @@ func Decompress(blob []byte, opts ...Option) ([]float32, []int, error) {
 		o(&cfg)
 	}
 	opt := core.DecompressOptions{
-		Workers:             cfg.workers,
-		Trace:               cfg.trace.collector(),
-		BoundCheckEvery:     cfg.boundEvery,
-		MaterializedPermute: cfg.materialized,
-		Interrupt:           cfg.interrupt(),
+		Workers:         cfg.workers,
+		Trace:           cfg.trace.collector(),
+		BoundCheckEvery: cfg.boundEvery,
+		Interrupt:       cfg.interrupt(),
 	}
 	if core.IsChunked(blob) {
 		return core.DecompressChunkedOpts(blob, cfg.workers, opt)

@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,52 +26,15 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("clizbench", flag.ContinueOnError)
 	var (
-		list     = fs.Bool("list", false, "list experiments")
-		id       = fs.String("run", "", "experiment id to run (e.g. E01)")
-		all      = fs.Bool("all", false, "run every experiment")
-		scale    = fs.Float64("scale", 0, "dataset scale (1.0 = paper dimensions; default 0.25)")
-		out      = fs.String("out", "", "directory for CSVs and artifacts (optional)")
-		quiet    = fs.Bool("quiet", false, "suppress progress logging")
-		perf     = fs.Bool("perf", false, "run the perf-regression suite and write BENCH_PR.json")
-		reps     = fs.Int("perf-reps", 3, "repetitions per field in -perf mode (median is reported)")
-		workers  = fs.Int("workers", 0, "intra-blob workers for the -perf parallel pass (0 = NumCPU)")
-		check    = fs.Bool("check", false, "grade the -out BENCH_PR.json against -baseline and write BENCH_CHECK.json")
-		baseline = fs.String("baseline", "BENCH_PR.json", "committed baseline report for -check (\"\" skips the delta gates)")
-		est      = fs.Bool("estimate", false, "run the estimator-accuracy suite and merge an estimate section into BENCH_PR.json")
-		strm     = fs.Bool("stream", false, "run the temporal-streaming suite and merge a stream section into BENCH_PR.json")
+		list  = fs.Bool("list", false, "list experiments")
+		id    = fs.String("run", "", "experiment id to run (e.g. E01)")
+		all   = fs.Bool("all", false, "run every experiment")
+		scale = fs.Float64("scale", 0, "dataset scale (1.0 = paper dimensions; default 0.25)")
+		out   = fs.String("out", "", "directory for CSVs and artifacts (optional)")
+		quiet = fs.Bool("quiet", false, "suppress progress logging")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *perf || *check || *est || *strm {
-		var log io.Writer
-		if !*quiet {
-			log = os.Stderr
-		}
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				return err
-			}
-		}
-		if *perf {
-			if err := runPerf(*scale, *reps, *workers, *out, log); err != nil {
-				return err
-			}
-		}
-		if *est {
-			if err := runEstimate(*scale, *out, log); err != nil {
-				return err
-			}
-		}
-		if *strm {
-			if err := runStream(*scale, *out, log); err != nil {
-				return err
-			}
-		}
-		if *check {
-			return runCheck(*baseline, *out, log)
-		}
-		return nil
 	}
 	if *list {
 		for _, e := range experiments.List() {

@@ -54,7 +54,8 @@ func TestEstimatePublicAPI(t *testing.T) {
 	}
 
 	// The prediction tracks reality within a loose factor — this is a sanity
-	// check, not the calibration gate (clizbench -estimate -check owns that).
+	// check, not the calibration gate (internal/estimate's
+	// TestEstimateCalibration owns that).
 	if rep.Ratio < info.Ratio/3 || rep.Ratio > info.Ratio*3 {
 		t.Errorf("predicted ratio %.1f vs measured %.1f: off by more than 3x", rep.Ratio, info.Ratio)
 	}

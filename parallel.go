@@ -21,11 +21,10 @@ func CompressChunked(ds *Dataset, eb ErrorBound, pipe *Pipeline, nChunks, worker
 		return nil, nil, err
 	}
 	blob, err := core.CompressChunked(ids, abs, p, core.Options{
-		Trace:               cfg.trace.collector(),
-		Workers:             cfg.workers,
-		Entropy:             cfg.entropy,
-		MaterializedPermute: cfg.materialized,
-		Interrupt:           cfg.interrupt(),
+		Trace:     cfg.trace.collector(),
+		Workers:   cfg.workers,
+		Entropy:   cfg.entropy,
+		Interrupt: cfg.interrupt(),
 	}, nChunks, workers)
 	if err != nil {
 		return nil, nil, err

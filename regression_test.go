@@ -128,12 +128,9 @@ func floatBytes(data []float32) []byte {
 	return raw
 }
 
-// TestWithEntropyAndMaterializedPermute drives the public entropy-kind and
-// legacy-permute options end to end: every entropy kind round-trips through
-// the bound, interleaved rANS actually lands in the blob (inspectable via a
-// second decode), and the materialized-permute escape hatch produces a blob
-// byte-identical to the fused default.
-func TestWithEntropyAndMaterializedPermute(t *testing.T) {
+// TestWithEntropyKinds drives the public entropy-kind option end to end:
+// every entropy kind round-trips through the bound.
+func TestWithEntropyKinds(t *testing.T) {
 	ds := gradientDataset("entropy-opts")
 	for _, k := range []cliz.EntropyKind{cliz.EntropyHuffman, cliz.EntropyRANS, cliz.EntropyRANSInterleaved} {
 		blob, _, err := cliz.Compress(ds, cliz.Abs(0.01), nil, cliz.WithEntropy(k))
@@ -152,23 +149,5 @@ func TestWithEntropyAndMaterializedPermute(t *testing.T) {
 				t.Fatalf("%v: bound violated at %d: %v vs %v", k, i, recon[i], ds.Data[i])
 			}
 		}
-	}
-	fused, _, err := cliz.Compress(ds, cliz.Abs(0.01), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, _, err := cliz.Compress(ds, cliz.Abs(0.01), nil, cliz.WithMaterializedPermute())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fused, legacy) {
-		t.Fatal("materialized-permute blob differs from fused default")
-	}
-	if recon, _, err := cliz.Decompress(legacy, cliz.WithMaterializedPermute()); err != nil {
-		t.Fatalf("legacy decompress: %v", err)
-	} else if got, _, err2 := cliz.Decompress(fused); err2 != nil {
-		t.Fatal(err2)
-	} else if !bytes.Equal(floatBytes(recon), floatBytes(got)) {
-		t.Fatal("legacy and fused decodes differ")
 	}
 }

@@ -1,0 +1,125 @@
+// Package scripts holds the tests of the repository's shell scripts.
+package scripts
+
+import (
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// gatedWorkloads are the archive workloads that bench_gates.sh grades for
+// materialized transposes and entropy-decode time.
+var gatedWorkloads = []string{"ssh-periodic-masked", "cesm-smooth-large", "hurricane-tight"}
+
+func workloadNames(t *testing.T) []string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, w := range spec.Workloads {
+		names = append(names, w.Name)
+	}
+	if len(names) == 0 {
+		t.Fatal("BENCHMARK.json lists no workloads")
+	}
+	return names
+}
+
+// cleanLine is a passing last line of a traced bench/run.sh run.
+func cleanLine() map[string]any {
+	return map[string]any{
+		"correct":   true,
+		"attempted": 10,
+		"failed":    0,
+		"metrics": map[string]any{
+			"grid.permute_count":       map[string]any{"value": 0},
+			"entropy.decode_ms_per_mb": map[string]any{"value": 1.0},
+		},
+	}
+}
+
+func metric(line map[string]any, name string) map[string]any {
+	return line["metrics"].(map[string]any)[name].(map[string]any)
+}
+
+// TestBenchGates runs bench_gates.sh on synthetic bench/ results: a clean
+// set passes, and each gate fails on the one line that breaks it, naming
+// the workload and the gate.
+func TestBenchGates(t *testing.T) {
+	for _, tool := range []string{"bash", "jq"} {
+		if _, err := exec.LookPath(tool); err != nil {
+			t.Skipf("bench_gates.sh needs %s: %v", tool, err)
+		}
+	}
+	names := workloadNames(t)
+	cases := []struct {
+		name     string
+		workload string
+		edit     func(line map[string]any) // nil removes the workload's result
+		want     string                    // "" expects a pass
+	}{
+		{"clean", "", nil, ""},
+		{"incorrect", "tune-cold", func(l map[string]any) { l["correct"] = false }, "FAIL tune-cold: incorrect or failed operations"},
+		{"failed-ops", "clizd-mixed", func(l map[string]any) { l["failed"] = 1 }, "FAIL clizd-mixed: incorrect or failed operations"},
+		{"missing-result", "stream-temporal", nil, "FAIL stream-temporal: incorrect or failed operations"},
+		{"permute-regression", "cesm-smooth-large", func(l map[string]any) { metric(l, "grid.permute_count")["value"] = 2 },
+			"FAIL cesm-smooth-large: grid.permute_count is not 0"},
+		{"entropy-decode-regression", "hurricane-tight", func(l map[string]any) { metric(l, "entropy.decode_ms_per_mb")["value"] = 1e6 },
+			"FAIL hurricane-tight: entropy.decode_ms_per_mb over"},
+		{"entropy-decode-missing", "ssh-periodic-masked", func(l map[string]any) { delete(l["metrics"].(map[string]any), "entropy.decode_ms_per_mb") },
+			"FAIL ssh-periodic-masked: entropy.decode_ms_per_mb over"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, w := range names {
+				line := cleanLine()
+				if w == tc.workload {
+					if tc.edit == nil {
+						continue
+					}
+					tc.edit(line)
+				}
+				raw, err := json.Marshal(line)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, w+".json"), append(raw, '\n'), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, err := exec.Command("bash", "bench_gates.sh", dir).CombinedOutput()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("clean results failed the gates: %v\n%s", err, out)
+				}
+				for _, w := range gatedWorkloads {
+					if !strings.Contains(string(out), w+": permute_count 0,") {
+						t.Errorf("no permute_count report for %s:\n%s", w, out)
+					}
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("gates passed, want %q:\n%s", tc.want, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("output lacks %q:\n%s", tc.want, out)
+			}
+			if n := strings.Count(string(out), "FAIL "); n != 1 {
+				t.Errorf("%d failures reported, want 1:\n%s", n, out)
+			}
+		})
+	}
+}

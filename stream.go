@@ -84,7 +84,7 @@ type StreamWriter struct {
 // frame (the stream header is written on the first Append). pipe configures
 // keyframe/intra coding exactly as for Compress (nil selects the default).
 // Accepted options: WithKeyframeInterval, WithContext, WithWorkers,
-// WithEntropy, WithTrace, WithMaterializedPermute.
+// WithEntropy, WithTrace.
 func NewStreamWriter(dst io.Writer, spec StreamSpec, eb ErrorBound, pipe *Pipeline, opts ...Option) (*StreamWriter, error) {
 	if dst == nil {
 		return nil, errors.New("cliz: nil stream destination")
@@ -115,11 +115,10 @@ func NewStreamWriter(dst io.Writer, spec StreamSpec, eb ErrorBound, pipe *Pipeli
 		Fill:     spec.FillValue,
 		Interval: cfg.keyframe,
 		Opts: core.Options{
-			Trace:               cfg.trace.collector(),
-			Workers:             cfg.workers,
-			Entropy:             cfg.entropy,
-			MaterializedPermute: cfg.materialized,
-			Interrupt:           cfg.interrupt(),
+			Trace:     cfg.trace.collector(),
+			Workers:   cfg.workers,
+			Entropy:   cfg.entropy,
+			Interrupt: cfg.interrupt(),
 		},
 	}
 	if pipe != nil {
@@ -234,18 +233,17 @@ type StreamReader struct {
 // record are validated structurally up front (hostile input fails with an
 // error wrapping ErrCorrupt and never panics); payload checksums are
 // verified when a frame is decoded. Accepted options: WithContext,
-// WithWorkers, WithTrace, WithBoundCheck, WithMaterializedPermute.
+// WithWorkers, WithTrace, WithBoundCheck.
 func NewStreamReader(blob []byte, opts ...Option) (*StreamReader, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	r, err := stream.Parse(blob, core.DecompressOptions{
-		Workers:             cfg.workers,
-		Trace:               cfg.trace.collector(),
-		BoundCheckEvery:     cfg.boundEvery,
-		MaterializedPermute: cfg.materialized,
-		Interrupt:           cfg.interrupt(),
+		Workers:         cfg.workers,
+		Trace:           cfg.trace.collector(),
+		BoundCheckEvery: cfg.boundEvery,
+		Interrupt:       cfg.interrupt(),
 	})
 	if err != nil {
 		return nil, err

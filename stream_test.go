@@ -184,47 +184,78 @@ func TestStreamRandomAccessBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamDeltaBeatsIndependent asserts the tentpole win: on the temporal
-// scenario, delta-coded frames are at least 1.3× smaller than the same
-// frames compressed as independent blobs at the same bound.
+// TestStreamDeltaBeatsIndependent asserts the temporal win: on every
+// temporal scenario, most frames are delta-coded, and the delta frames are
+// at least 1.3× smaller than the same frames compressed as independent
+// blobs at the same bound. The scale-0.25 cases use a relative bound of
+// 1e-3, resolved against the first frame's valid-point range.
 func TestStreamDeltaBeatsIndependent(t *testing.T) {
-	spec := datagen.TemporalScenario(0.12)[0]
-	spec.Frames = 32
-	ts := temporalFixture(t, spec)
-	const eb = 0.05
-	blob, infos := encodeStream(t, ts, cliz.Abs(eb), cliz.WithKeyframeInterval(16))
+	advect := datagen.TemporalScenario(0.12)[0]
+	advect.Frames = 32
+	full := datagen.TemporalScenario(0.25)
+	cases := []struct {
+		name string
+		spec datagen.TemporalSpec
+		eb   float64 // absolute; 0 resolves rel 1e-3 on the first frame
+	}{
+		{"ADVECT-SSH@0.12", advect, 0.05},
+		{full[0].Name + "@0.25", full[0], 0},
+		{full[1].Name + "@0.25", full[1], 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := temporalFixture(t, tc.spec)
+			eb := tc.eb
+			if eb == 0 {
+				eb = firstFrameBound(ts, 1e-3)
+			}
+			blob, infos := encodeStream(t, ts, cliz.Abs(eb), cliz.WithKeyframeInterval(16))
 
-	var deltaBytes, indepBytes, deltas int
-	for i, info := range infos {
-		if info.Kind != cliz.StreamDelta {
-			continue
+			var deltaBytes, indepBytes, deltas int
+			for i, info := range infos {
+				if info.Kind != cliz.StreamDelta {
+					continue
+				}
+				frame := &cliz.Dataset{Name: ts.Name, Data: ts.Frames[i], Dims: ts.Dims, FillValue: ts.Fill}
+				if ts.Mask != nil {
+					frame.MaskRegions = ts.Mask.Regions
+				}
+				indep, _, err := cliz.Compress(frame, cliz.Abs(eb), nil)
+				if err != nil {
+					t.Fatalf("independent compress of frame %d: %v", i, err)
+				}
+				deltaBytes += info.PayloadBytes
+				indepBytes += len(indep)
+				deltas++
+			}
+			if deltas < len(infos)/2 {
+				t.Fatalf("only %d/%d frames delta-coded", deltas, len(infos))
+			}
+			ratio := float64(indepBytes) / float64(deltaBytes)
+			t.Logf("delta-vs-independent ratio: %.2f (%d delta frames, %d vs %d bytes)",
+				ratio, deltas, indepBytes, deltaBytes)
+			if ratio < 1.3 {
+				t.Fatalf("delta frames only %.2f× smaller than independent blobs, want >= 1.3×", ratio)
+			}
+			// And the stream still decodes within bound, of course.
+			got := decodeStream(t, blob)
+			for f := range got {
+				checkFrameBound(t, f, ts.Frames[f], got[f], ts, eb)
+			}
+		})
+	}
+}
+
+// firstFrameBound resolves a relative bound against the value range of the
+// first frame's valid points.
+func firstFrameBound(ts *datagen.TemporalStream, rel float64) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for p, v := range ts.Frames[0] {
+		if ts.Mask == nil || ts.Mask.Regions[p] != 0 {
+			lo, hi = math.Min(lo, float64(v)), math.Max(hi, float64(v))
 		}
-		frame := &cliz.Dataset{Name: ts.Name, Data: ts.Frames[i], Dims: ts.Dims, FillValue: ts.Fill}
-		if ts.Mask != nil {
-			frame.MaskRegions = ts.Mask.Regions
-		}
-		indep, _, err := cliz.Compress(frame, cliz.Abs(eb), nil)
-		if err != nil {
-			t.Fatalf("independent compress of frame %d: %v", i, err)
-		}
-		deltaBytes += info.PayloadBytes
-		indepBytes += len(indep)
-		deltas++
 	}
-	if deltas < len(infos)/2 {
-		t.Fatalf("only %d/%d frames delta-coded on the advection scenario", deltas, len(infos))
-	}
-	ratio := float64(indepBytes) / float64(deltaBytes)
-	t.Logf("delta-vs-independent ratio: %.2f (%d delta frames, %d vs %d bytes)",
-		ratio, deltas, indepBytes, deltaBytes)
-	if ratio < 1.3 {
-		t.Fatalf("delta frames only %.2f× smaller than independent blobs, want >= 1.3×", ratio)
-	}
-	// And the stream still decodes within bound, of course.
-	got := decodeStream(t, blob)
-	for f := range got {
-		checkFrameBound(t, f, ts.Frames[f], got[f], ts, eb)
-	}
+	return rel * (hi - lo)
 }
 
 // TestStreamIntraFallbackRegression pins the fallback promoted from
