@@ -270,7 +270,7 @@ func predictGeneral(data []float32, dims []int, v validity, eb float64,
 		return predictPeriodic(data, dims, v, eb, p, fill, opt, m)
 	}
 	p.Period = 0
-	u, err := predictUnit(data, dims, v, eb, p, fill, opt, m)
+	u, err := predictUnit(data, dims, v, eb, p, fill, opt, m, false)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +339,7 @@ func predictPeriodic(data []float32, dims []int, v validity, eb float64,
 		up := p
 		up.Period = 0
 		up.Template = nil
-		u, err := predictUnit(data, dims, v, eb, up, fill, opt, m)
+		u, err := predictUnit(data, dims, v, eb, up, fill, opt, m, false)
 		if err != nil {
 			return nil, err
 		}
@@ -350,7 +350,9 @@ func predictPeriodic(data []float32, dims []int, v validity, eb float64,
 	rp.Template = nil
 	ropt := opt
 	ropt.Trace = trace.Prefixed(opt.Trace, "residual")
-	u, err := predictUnit(residual, dims, v, eb-slack, rp, fill, ropt, m)
+	// The residual is built for this prediction alone unless the memo keeps
+	// it, so without a memo it is predicted in place.
+	u, err := predictUnit(residual, dims, v, eb-slack, rp, fill, ropt, m, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: residual: %w", err)
 	}
@@ -508,12 +510,14 @@ func identityPerm(n int) []int {
 	return p
 }
 
-// compressUnit compresses a single (non-periodic) compression unit. The
-// reconstruction holds no fill: its masked points are unspecified.
+// compressUnit compresses a periodic template as a single compression
+// unit. The caller builds data for this call and only the memo keeps it, so
+// without a memo it is predicted in place. The reconstruction holds no
+// fill: its masked points are unspecified.
 func compressUnit(data []float32, dims []int, v validity, eb float64,
 	p Pipeline, fill float32, opt Options, m *tuneMemo) ([]byte, []float32, error) {
 
-	u, err := predictUnit(data, dims, v, eb, p, fill, opt, m)
+	u, err := predictUnit(data, dims, v, eb, p, fill, opt, m, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -536,17 +540,21 @@ func compressUnit(data []float32, dims []int, v validity, eb float64,
 // unitPrediction is one compression unit after prediction: the bins,
 // literals and reconstruction, with what the blob header records.
 type unitPrediction struct {
-	dims   []int
-	v      validity
-	eb     float64
-	fill   float32
-	p      Pipeline // p.Classify is ignored: encode takes it
-	opt    Options
-	m      *tuneMemo
-	P      int // predict sections
-	bins   []int32
-	lits   []float32
-	tvalid []bool
+	dims []int
+	v    validity
+	eb   float64
+	fill float32
+	p    Pipeline // p.Classify is ignored: encode takes it
+	opt  Options
+	m    *tuneMemo
+	P    int // predict sections
+	// bins holds one bin per point, or, while gathered is set, the nValid
+	// bins of the valid points at its front (validBins, placedBins).
+	bins     []int32
+	gathered bool
+	nValid   int
+	lits     []float32
+	tvalid   []bool
 	// work is the reconstruction, in the original layout when the
 	// permutation was fused and transposed to tdims otherwise.
 	work  []float32
@@ -561,9 +569,11 @@ type unitPrediction struct {
 // unit, whose shifted bins no longer describe the prediction.
 var errBinsShifted = errors.New("core: bins already shifted by a classified encode")
 
-// predictUnit runs one unit's permutation and prediction.
+// predictUnit runs one unit's permutation and prediction. owned marks data
+// as a buffer built for this unit that nothing reads afterwards unless the
+// memo keeps it: without a memo it is then predicted in place.
 func predictUnit(data []float32, dims []int, v validity, eb float64,
-	p Pipeline, fill float32, opt Options, m *tuneMemo) (*unitPrediction, error) {
+	p Pipeline, fill float32, opt Options, m *tuneMemo, owned bool) (*unitPrediction, error) {
 
 	if err := interrupted(opt.Interrupt); err != nil {
 		return nil, err
@@ -592,7 +602,7 @@ func predictUnit(data []float32, dims []int, v validity, eb float64,
 	var tdims []int
 	var work []float32
 	if fused {
-		work = m.workCopy(data)
+		work = m.workCopy(data, owned)
 	} else {
 		sp := trace.Begin(opt.Trace, "permute")
 		tdims = grid.PermuteDims(dims, p.Perm)
@@ -618,15 +628,86 @@ func predictUnit(data []float32, dims []int, v validity, eb float64,
 	if err != nil {
 		return nil, err
 	}
+	u := &unitPrediction{
+		dims: dims, v: v, eb: eb, fill: fill, p: p, opt: opt, m: m, P: P,
+		bins: bins, lits: lits, tvalid: tvalid, work: work, tdims: tdims,
+	}
 	sp.Stop() // binStats is trace-only work, not prediction
-	sp.EndFull(int64(len(work))*4, 0, int64(len(bins)), binStats(bins, lits, tvalid, opt.Trace))
+	sp.EndFull(int64(len(work))*4, 0, int64(len(bins)), binStats(opt.Trace, u))
 	if err := interrupted(opt.Interrupt); err != nil {
 		return nil, err
 	}
-	return &unitPrediction{
-		dims: dims, v: v, eb: eb, fill: fill, p: p, opt: opt, m: m, P: P,
-		bins: bins, lits: lits, tvalid: tvalid, work: work, tdims: tdims,
-	}, nil
+	return u, nil
+}
+
+// validBins returns the bins of the valid points in order. A masked unit
+// gathers them in place at the front of u.bins, once; placedBins moves them
+// back.
+func (u *unitPrediction) validBins() []int32 {
+	if !u.gathered {
+		u.nValid = gatherValid(u.bins, u.tvalid)
+		u.gathered = true
+	}
+	return u.bins[:u.nValid]
+}
+
+// placedBins returns the bins with every valid bin at its point, scattering
+// them back if validBins gathered them. Masked points hold 0.
+func (u *unitPrediction) placedBins() []int32 {
+	if u.gathered {
+		scatterValid(u.bins, u.nValid, u.tvalid)
+		u.gathered = false
+	}
+	return u.bins
+}
+
+// gatherValid moves the bins of the valid points, in order, to the front of
+// bins and returns their count; the rest of bins is left stale. A nil
+// tvalid keeps every bin where it is.
+func gatherValid(bins []int32, tvalid []bool) int {
+	if tvalid == nil {
+		return len(bins)
+	}
+	n := 0
+	for i, ok := range tvalid {
+		if ok {
+			bins[n] = bins[i]
+			n++
+		}
+	}
+	return n
+}
+
+// scatterValid reverses gatherValid: it moves the first n bins, n being the
+// valid count of tvalid, out to the valid points and writes 0 at the masked
+// ones. It walks from back to front, where a bin's target is never before
+// its source, so no bin is overwritten before it moves.
+func scatterValid(bins []int32, n int, tvalid []bool) {
+	if tvalid == nil {
+		return
+	}
+	for i := len(bins) - 1; i >= 0; i-- {
+		if tvalid[i] {
+			n--
+			bins[i] = bins[n]
+		} else {
+			bins[i] = 0
+		}
+	}
+}
+
+// validCount is the number of valid points of tvalid (n for nil).
+func validCount(tvalid []bool, n int) int {
+	if tvalid == nil {
+		return n
+	}
+	c := 0
+	for _, ok := range tvalid {
+		if ok {
+			c++
+		}
+	}
+	return c
 }
 
 // encode writes the unit's blob with or without classification. A
@@ -635,7 +716,7 @@ func (u *unitPrediction) encode(classified bool) ([]byte, error) {
 	if u.shifted {
 		return nil, errBinsShifted
 	}
-	p, opt, v, bins, tvalid := u.p, u.opt, u.v, u.bins, u.tvalid
+	p, opt, v, tvalid := u.p, u.opt, u.v, u.tvalid
 	p.Classify = classified
 	W := opt.workers()
 	h := header{
@@ -665,6 +746,7 @@ func (u *unitPrediction) encode(classified bool) ([]byte, error) {
 	}
 	be := opt.Backend
 	if p.Classify {
+		bins := u.placedBins()
 		sp := trace.Begin(opt.Trace, "classify")
 		nLat, nLon := latLon(u.dims)
 		colOf := u.m.columns(u.dims, p.Perm)
@@ -689,21 +771,14 @@ func (u *unitPrediction) encode(classified bool) ([]byte, error) {
 		w.add(secBinsB, lsB)
 		sp.EndBytes(int64(len(encA)+len(encB)), int64(len(lsA)+len(lsB)))
 	} else {
-		symsp := symsPool.Get().(*[]uint32)
-		syms := slices.Grow((*symsp)[:0], len(bins))
-		for i, bin := range bins {
-			if tvalid != nil && !tvalid[i] {
-				continue
-			}
-			syms = append(syms, uint32(bin))
-		}
+		// The bins are coded where they lie, the valid ones gathered to the
+		// front of a masked unit's bins.
+		syms := u.validBins()
 		sp := trace.Begin(opt.Trace, "entropy")
 		enc := entropy.EncodeBlockSharded(opt.Entropy, syms, W)
 		sp.Stop()
 		sp.EndFull(int64(len(syms))*4, int64(len(enc)), int64(len(syms)),
 			entropyStats(opt.Trace, enc))
-		*symsp = syms[:0]
-		symsPool.Put(symsp)
 		sp = trace.Begin(opt.Trace, "lossless")
 		ls := lossless.Encode(be, enc)
 		w.add(secBins, ls)
@@ -736,27 +811,18 @@ func (u *unitPrediction) recon() ([]float32, error) {
 	return recon, nil
 }
 
-// binStats summarizes the quantization-bin histogram for the trace: distinct
-// bin count, Shannon entropy in bits/symbol, the share of the most frequent
-// bin, and the literal (unpredictable) count. It runs only when a collector
-// is attached; the nil-trace hot path never touches it.
-func binStats(bins []int32, literals []float32, tvalid []bool, c trace.Collector) []trace.KV {
+// binStats summarizes the histogram of the unit's valid bins for the trace:
+// distinct bin count, Shannon entropy in bits/symbol, the share of the most
+// frequent bin, and the literal (unpredictable) count. It runs only when a
+// collector is attached; the nil-trace hot path never touches the bins.
+func binStats(c trace.Collector, u *unitPrediction) []trace.KV {
 	if c == nil {
 		return nil
 	}
-	symsp := symsPool.Get().(*[]uint32)
-	syms := slices.Grow((*symsp)[:0], len(bins))
-	for i, b := range bins {
-		if tvalid != nil && !tvalid[i] {
-			continue
-		}
-		syms = append(syms, uint32(b))
-	}
-	h := symhist.Count(syms)
+	bins, literals := u.validBins(), u.lits
+	h := symhist.Count(bins)
 	h.Release() // only the frequencies are read
-	n := len(syms)
-	*symsp = syms[:0]
-	symsPool.Put(symsp)
+	n := len(bins)
 	if n == 0 {
 		return []trace.KV{{Key: "literals", Value: float64(len(literals))}}
 	}
@@ -1052,25 +1118,19 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 		if err != nil {
 			return nil, nil, maskedFill{}, err
 		}
-		syms, err := decodeSymbolSectionWorkers(sec, workers, vol)
+		// The symbols decode straight into the bins: a masked unit's into
+		// the front, scattered out to the valid points afterwards. The
+		// block must declare exactly the valid count.
+		raw, err := lossless.Decode(sec)
 		if err != nil {
-			return nil, nil, maskedFill{}, err
+			return nil, nil, maskedFill{}, corrupt(err)
 		}
 		bins = make([]int32, vol)
-		si := 0
-		for i := 0; i < vol; i++ {
-			if tvalid != nil && !tvalid[i] {
-				continue
-			}
-			if si >= len(syms) {
-				return nil, nil, maskedFill{}, ErrCorrupt
-			}
-			bins[i] = int32(syms[si])
-			si++
+		n := validCount(tvalid, vol)
+		if err := entropy.DecodeBlockInto(raw, bins[:n], workers); err != nil {
+			return nil, nil, maskedFill{}, corrupt(err)
 		}
-		if si != len(syms) {
-			return nil, nil, maskedFill{}, ErrCorrupt
-		}
+		scatterValid(bins, n, tvalid)
 	}
 	sp.EndFull(int64(*pos-binsStart), int64(len(bins))*4, int64(len(bins)), nil)
 	sp = trace.Begin(c, "literals-decode")

@@ -8,15 +8,18 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"cliz/internal/dataset"
 	"cliz/internal/entropy"
+	"cliz/internal/grid"
 	"cliz/internal/huffman"
 	"cliz/internal/lossless"
 	"cliz/internal/mask"
+	"cliz/internal/predict"
 )
 
 // The on-disk seed corpus for FuzzDecompress (testdata/fuzz/FuzzDecompress)
@@ -142,7 +145,115 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	// whose Huffman block declares a bitstream length past 2^63: it passes
 	// every container check and reaches the Huffman decoder's length check.
 	seeds["huffman-blen-overflow"] = huffmanLengthOverflowBlob(t, plain)
+	// A well-formed masked v3 blob whose sharded Huffman block declares one
+	// symbol more than the unit's valid count.
+	seeds["huffman-count-mismatch"] = recodeBins(t, countMismatchBlob(t, true), 1, 2)
 	return seeds
+}
+
+// countMismatchBlob is a small unclassified unit blob, masked or not, for
+// recodeBins.
+func countMismatchBlob(t testing.TB, masked bool) []byte {
+	dims := []int{24, 20, 16}
+	data, v := maskDigestInput(dims, false, 1e35)
+	ds := &dataset.Dataset{Name: "count-mismatch", Data: data, Dims: dims, Lead: dataset.LeadTime,
+		Mask: v.hm, FillValue: 1e35}
+	p := Pipeline{Perm: []int{2, 0, 1}, Fusion: grid.NoFusion(3), Fitting: predict.Cubic, UseMask: masked}
+	blob, err := Compress(ds, 0.05, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// unitSections splits an unclassified unit blob into its header and its
+// mask (nil when unmasked), bins and literals sections.
+func unitSections(t testing.TB, blob []byte) (h header, ms, bins, lits []byte) {
+	pos := 0
+	h, err := parseHeader(blob, &pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := sectionReader{h: &h}
+	if h.flags&flagMask != 0 {
+		if ms, err = sr.next(blob, &pos, secMask); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bins, err = sr.next(blob, &pos, secBins); err != nil {
+		t.Fatal(err)
+	}
+	if lits, err = sr.next(blob, &pos, secLiterals); err != nil {
+		t.Fatal(err)
+	}
+	return h, ms, bins, lits
+}
+
+// recodeBins rebuilds an unclassified unit blob with the symbols of its bins
+// section cut short (delta < 0) or extended by repeating the last one
+// (delta > 0), then coded as a Huffman block in `shards` shards (1 for a
+// plain block) behind a Raw lossless frame. The container stays well formed.
+func recodeBins(t testing.TB, blob []byte, delta, shards int) []byte {
+	h, ms, sec, lits := unitSections(t, blob)
+	raw, err := lossless.Decode(sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms, err := entropy.DecodeBlock(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta < 0 {
+		syms = syms[:len(syms)+delta]
+	}
+	for range max(delta, 0) {
+		syms = append(syms, syms[len(syms)-1])
+	}
+	w := blobWriter{h: h}
+	if ms != nil {
+		w.add(secMask, ms)
+	}
+	w.add(secBins, lossless.Encode(lossless.Raw{}, entropy.EncodeBlockSharded(entropy.Huffman, syms, shards)))
+	w.add(secLiterals, lits)
+	return w.bytes()
+}
+
+// TestSymbolCountMismatchCorrupt pins the decoder's count check: the bins
+// decode straight into the unit's bins slice, so an entropy block that
+// declares one symbol more or one fewer than the unit's valid count must be
+// rejected with ErrCorrupt before a symbol is written — masked or not,
+// plain or sharded, at one decode worker or two. An unchanged count
+// recoded the same way decodes to the original output.
+func TestSymbolCountMismatchCorrupt(t *testing.T) {
+	for _, masked := range []bool{false, true} {
+		blob := countMismatchBlob(t, masked)
+		want, _, err := Decompress(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2} {
+			_, _, sec, _ := unitSections(t, recodeBins(t, blob, 0, shards))
+			if kind := entropy.Kind(sec[1]); shards > 1 && kind != entropy.Sharded { // past the Raw id byte
+				t.Fatalf("masked=%v: %d shards coded a %v block", masked, shards, kind)
+			}
+			for _, delta := range []int{-1, 0, 1} {
+				bad := recodeBins(t, blob, delta, shards)
+				for _, workers := range []int{1, 2} {
+					got, _, err := DecompressWithOptions(bad, DecompressOptions{Workers: workers})
+					name := fmt.Sprintf("masked=%v shards=%d delta=%+d workers=%d", masked, shards, delta, workers)
+					if delta == 0 {
+						if err != nil || !slices.Equal(got, want) {
+							t.Errorf("%s: recoded blob decodes differently (%v)", name, err)
+						}
+						continue
+					}
+					if !errors.Is(err, ErrCorrupt) {
+						t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+					}
+				}
+			}
+		}
+	}
 }
 
 // huffmanLengthOverflowBlob rebuilds the unmasked, unclassified v3 blob

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"cliz/internal/grid"
 	"cliz/internal/interp"
@@ -276,7 +275,3 @@ func verifySections(bins []int32, lits []float32, lay grid.Layout, tvalid []bool
 	}
 	return total, nil
 }
-
-// symsPool recycles the uint32 staging slice the unclassified encode path
-// uses to gather valid-point bins for entropy coding.
-var symsPool = sync.Pool{New: func() any { return new([]uint32) }}

@@ -25,7 +25,7 @@ func TestShortLiteralStreamCorrupt(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			p := Pipeline{Perm: []int{0, 2, 1}, Fusion: grid.NoFusion(3), Fitting: fit, UseMask: true}
 			opt := Options{Workers: workers, Radius: 4, sectionLeadFloor: 4}
-			u, err := predictUnit(data, dims, v, 0.06, p, 1e35, opt, nil)
+			u, err := predictUnit(data, dims, v, 0.06, p, 1e35, opt, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,12 +12,11 @@ import (
 // instrumentation hook the compressor calls must be an allocation-free no-op
 // when no collector is attached.
 func TestTraceHooksNilCollectorAllocs(t *testing.T) {
-	bins := make([]int32, 256)
-	lits := make([]float32, 4)
+	u := &unitPrediction{bins: make([]int32, 256), lits: make([]float32, 4)}
 	tu := &tuner{memo: newTuneMemo()}
 	allocs := testing.AllocsPerRun(500, func() {
 		sp := trace.Begin(nil, "predict")
-		sp.EndFull(1, 2, 3, binStats(bins, lits, nil, nil))
+		sp.EndFull(1, 2, 3, binStats(nil, u))
 		sp = trace.Begin(nil, "entropy")
 		sp.EndFull(0, 0, 0, entropyStats(nil, nil))
 		trace.Begin(trace.Prefixed(nil, "chunk[0]"), "lossless").EndBytes(4, 5)

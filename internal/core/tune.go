@@ -655,15 +655,19 @@ func newTuneMemo() *tuneMemo {
 	}
 }
 
-// workCopy returns a copy of data to predict a unit in place. With a memo
-// it is the memo's scratch work buffer, which the next call overwrites: the
-// unit must be encoded before the next unit is predicted, and nothing that
-// outlives that may alias it.
-func (m *tuneMemo) workCopy(data []float32) []float32 {
+// workCopy returns the buffer to predict a unit of data in place. With a
+// memo it is the memo's scratch work buffer, which the next call
+// overwrites: the unit must be encoded before the next unit is predicted,
+// and nothing that outlives that may alias it. Without one it is data
+// itself when owned (see predictUnit), a fresh copy otherwise.
+func (m *tuneMemo) workCopy(data []float32, owned bool) []float32 {
 	var work []float32
-	if m == nil {
+	switch {
+	case m == nil && owned:
+		return data
+	case m == nil:
 		work = make([]float32, len(data))
-	} else {
+	default:
 		m.work = grow(m.work, len(data))
 		work = m.work
 	}
@@ -903,7 +907,7 @@ func (t *tuner) tuneTemplate(smp sample, outer Pipeline) *Pipeline {
 		for _, fus := range grid.Compositions(rank) {
 			for _, fit := range []predict.Fitting{predict.Linear, predict.Cubic} {
 				p := Pipeline{Perm: perm, Fusion: fus, Fitting: fit, UseMask: tmplValid != nil}
-				u, err := predictUnit(tmplData, tmplDims, tv, t.eb, p, datagenFill, t.opt, t.memo)
+				u, err := predictUnit(tmplData, tmplDims, tv, t.eb, p, datagenFill, t.opt, t.memo, false)
 				t.predicts++
 				if err != nil {
 					continue

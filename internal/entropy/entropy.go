@@ -10,6 +10,11 @@
 // directory (a few varints per shard). Sharded rANS blocks fall back to
 // independent sub-blocks (one slot table each) because the rANS stream state
 // cannot be split under a shared table without re-normalizing.
+//
+// Huffman blocks code int32 quantization bins where they lie, as their
+// uint32 bit patterns, and DecodeBlockInto decodes them back into the
+// caller's bins. The rANS coders take uint32 alphabets only, so int32
+// symbols are converted into a staging copy for them.
 package entropy
 
 import (
@@ -20,6 +25,7 @@ import (
 	"cliz/internal/huffman"
 	"cliz/internal/par"
 	"cliz/internal/rans"
+	"cliz/internal/symhist"
 )
 
 // Kind selects the symbol coder.
@@ -74,18 +80,31 @@ func (k Kind) String() string {
 // EncodeBlock compresses symbols with the requested coder. rANS falls back
 // to Huffman when the alphabet exceeds its slot table (the block records
 // what was actually used).
-func EncodeBlock(kind Kind, symbols []uint32) []byte {
+func EncodeBlock[S symhist.Symbol](kind Kind, symbols []S) []byte {
 	switch kind {
 	case RANS:
-		if body, ok := rans.EncodeBlock(symbols); ok {
+		if body, ok := rans.EncodeBlock(uint32s(symbols)); ok {
 			return append([]byte{byte(RANS)}, body...)
 		}
 	case RANSInterleaved:
-		if body, ok := rans.EncodeInterleavedBlock(symbols, rans.DefaultWays); ok {
+		if body, ok := rans.EncodeInterleavedBlock(uint32s(symbols), rans.DefaultWays); ok {
 			return append([]byte{byte(RANSInterleaved)}, body...)
 		}
 	}
 	return huffman.AppendBlock([]byte{byte(Huffman)}, symbols)
+}
+
+// uint32s returns symbols as a []uint32 for the rANS coders: the slice
+// itself when it is one, a converted copy otherwise.
+func uint32s[S symhist.Symbol](symbols []S) []uint32 {
+	if u, ok := any(symbols).([]uint32); ok {
+		return u
+	}
+	out := make([]uint32, len(symbols))
+	for i, s := range symbols {
+		out[i] = uint32(s)
+	}
+	return out
 }
 
 // DecodeBlock reverses EncodeBlock (and decodes sharded blocks serially; use
@@ -122,9 +141,53 @@ func DecodeBlockBounded(blob []byte, workers, maxSyms int) ([]uint32, error) {
 		syms, _, err := rans.DecodeInterleavedBlockMax(blob[1:], ransBudget(maxSyms))
 		return syms, err
 	case Sharded:
-		return decodeSharded(blob[1:], workers, maxSyms)
+		sh, err := parseSharded(blob[1:], maxSyms)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]uint32, sh.syms())
+		if err := decodeShards(sh, out, workers); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 	return nil, ErrCorrupt
+}
+
+// DecodeBlockInto decodes blob into dst, whose length must equal the
+// block's symbol count; the shards of a Sharded block decode on up to
+// `workers` goroutines into disjoint windows of dst. A Huffman block, plain
+// or sharded, that declares any other count is rejected before a symbol is
+// written, and decodes with no allocation of its own beyond the code table.
+// rANS blocks decode into a staging slice, which is checked and copied.
+func DecodeBlockInto[S symhist.Symbol](blob []byte, dst []S, workers int) error {
+	if len(blob) == 0 {
+		return ErrCorrupt
+	}
+	switch Kind(blob[0]) {
+	case Huffman:
+		return huffman.DecodeBlockInto(blob[1:], dst)
+	case Sharded:
+		sh, err := parseSharded(blob[1:], len(dst))
+		if err != nil {
+			return err
+		}
+		if sh.syms() != len(dst) {
+			return ErrCorrupt
+		}
+		return decodeShards(sh, dst, workers)
+	}
+	syms, err := DecodeBlockBounded(blob, 1, len(dst))
+	if err != nil {
+		return err
+	}
+	if len(syms) != len(dst) {
+		return ErrCorrupt
+	}
+	for i, s := range syms {
+		dst[i] = S(s)
+	}
+	return nil
 }
 
 // ransBudget maps the caller bound onto rans.DecodeBlockMax's contract,
@@ -148,7 +211,7 @@ var writerPool = sync.Pool{New: func() any { return bitio.NewWriter(0) }}
 // table and bitstream plus a small shard directory. shards <= 1, or streams
 // too short to cut, degrade to the plain self-describing EncodeBlock. The
 // output depends only on (kind, symbols, shards) — never on scheduling.
-func EncodeBlockSharded(kind Kind, symbols []uint32, shards int) []byte {
+func EncodeBlockSharded[S symhist.Symbol](kind Kind, symbols []S, shards int) []byte {
 	// Shards below ~minShardSyms symbols cost more in directory and table
 	// overhead than the concurrency buys; short streams degrade gracefully.
 	if s := len(symbols) / minShardSyms; shards > s {
@@ -185,7 +248,7 @@ func EncodeBlockSharded(kind Kind, symbols []uint32, shards int) []byte {
 	par.Run(n, n, func(i int) {
 		w := writerPool.Get().(*bitio.Writer)
 		w.Reset()
-		_ = c.Encode(symbols[bounds[i]:bounds[i+1]], w) // codec covers these symbols
+		_ = huffman.EncodeSymbols(c, symbols[bounds[i]:bounds[i+1]], w) // codec covers these symbols
 		streams[i] = append([]byte(nil), w.Bytes()...)
 		writerPool.Put(w)
 	})
@@ -286,60 +349,70 @@ func parseShardDir(body []byte, pos *int, mode byte, maxSyms int) ([]shardDir, e
 	return dir, nil
 }
 
-// decodeSharded decodes a Sharded container body (everything after the kind
-// byte) with up to `workers` concurrent shard decoders.
-func decodeSharded(body []byte, workers, maxSyms int) ([]uint32, error) {
+// sharded is a parsed Sharded container body: its mode, the shared code
+// table (shared-Huffman mode only), the shard directory and the
+// concatenated shard payloads.
+type sharded struct {
+	mode    byte
+	codec   *huffman.Codec
+	dir     []shardDir
+	streams []byte
+}
+
+// syms is the container's total symbol count.
+func (sh *sharded) syms() int {
+	last := sh.dir[len(sh.dir)-1]
+	return last.symOff + last.nSyms
+}
+
+// parseSharded parses a Sharded container body (everything after the kind
+// byte), rejecting a directory that declares more than maxSyms symbols.
+func parseSharded(body []byte, maxSyms int) (*sharded, error) {
 	if len(body) < 2 {
 		return nil, ErrCorrupt
 	}
-	mode := body[0]
+	sh := &sharded{mode: body[0]}
 	pos := 1
-	var codec *huffman.Codec
-	switch mode {
+	switch sh.mode {
 	case modeSharedHuffman:
 		c, n, err := huffman.ParseTable(body[pos:])
 		if err != nil {
 			return nil, ErrCorrupt
 		}
-		codec = c
+		sh.codec = c
 		pos += n
 	case modeSubBlocks:
 	default:
 		return nil, ErrCorrupt
 	}
-	dir, err := parseShardDir(body, &pos, mode, maxSyms)
+	dir, err := parseShardDir(body, &pos, sh.mode, maxSyms)
 	if err != nil {
 		return nil, err
 	}
-	last := dir[len(dir)-1]
-	out := make([]uint32, last.symOff+last.nSyms)
-	streams := body[pos:]
-	errs := make([]error, len(dir))
-	par.Run(workers, len(dir), func(i int) {
-		d := dir[i]
-		raw := streams[d.byteOff : d.byteOff+d.nBytes]
-		dst := out[d.symOff : d.symOff+d.nSyms]
-		if mode == modeSharedHuffman {
-			errs[i] = codec.DecodeInto(dst, bitio.NewReader(raw))
+	sh.dir, sh.streams = dir, body[pos:]
+	return sh, nil
+}
+
+// decodeShards decodes every shard of sh into its window of dst
+// (len(dst) == sh.syms()) with up to `workers` concurrent shard decoders.
+func decodeShards[S symhist.Symbol](sh *sharded, dst []S, workers int) error {
+	errs := make([]error, len(sh.dir))
+	par.Run(workers, len(sh.dir), func(i int) {
+		d := sh.dir[i]
+		raw := sh.streams[d.byteOff : d.byteOff+d.nBytes]
+		win := dst[d.symOff : d.symOff+d.nSyms]
+		if sh.mode == modeSharedHuffman {
+			errs[i] = huffman.DecodeSymbols(sh.codec, win, bitio.NewReader(raw))
 			return
 		}
-		syms, err := DecodeBlockBounded(raw, 1, d.nSyms)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if len(syms) != d.nSyms {
-			errs[i] = ErrCorrupt
-			return
-		}
-		copy(dst, syms)
+		errs[i] = DecodeBlockInto(raw, win, 1)
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func appendUvarint(dst []byte, v uint64) []byte {

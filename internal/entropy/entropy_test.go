@@ -59,7 +59,7 @@ func TestKindString(t *testing.T) {
 
 func TestEmpty(t *testing.T) {
 	for _, k := range []Kind{Huffman, RANS} {
-		got, err := DecodeBlock(EncodeBlock(k, nil))
+		got, err := DecodeBlock(EncodeBlock[uint32](k, nil))
 		if err != nil || len(got) != 0 {
 			t.Fatalf("%s empty: %v %v", k, got, err)
 		}

@@ -44,7 +44,7 @@ func TestShardedDegradesToPlainBlock(t *testing.T) {
 	if got := EncodeBlockSharded(Huffman, syms, 1); !reflect.DeepEqual(got, plain) {
 		t.Fatal("shards=1 must emit the plain block byte-for-byte")
 	}
-	if got := EncodeBlockSharded(Huffman, nil, 8); Kind(got[0]) == Sharded {
+	if got := EncodeBlockSharded[uint32](Huffman, nil, 8); Kind(got[0]) == Sharded {
 		t.Fatal("empty stream must not be sharded")
 	}
 }
@@ -148,5 +148,37 @@ func TestShardedBlockStats(t *testing.T) {
 	kind, table, stream, ok = BlockStats(rblob)
 	if !ok || kind != Sharded || 1+table+stream != len(rblob) {
 		t.Fatalf("BlockStats on sharded rANS: kind=%v ok=%v %d+%d vs %d", kind, ok, table, stream, len(rblob))
+	}
+}
+
+// TestBinsInPlace codes int32 bins where they lie: every kind, plain and
+// sharded, writes the same bytes as for the bins' uint32 copy, and
+// DecodeBlockInto decodes them back into an int32 slice of exactly the
+// block's count at one or two workers. A slice one longer or one shorter
+// is rejected.
+func TestBinsInPlace(t *testing.T) {
+	syms := randomSyms(5, 5000)
+	bins := make([]int32, len(syms))
+	for i, s := range syms {
+		bins[i] = int32(s)
+	}
+	for _, kind := range []Kind{Huffman, RANS, RANSInterleaved} {
+		for _, shards := range []int{1, 3} {
+			blob := EncodeBlockSharded(kind, bins, shards)
+			if !reflect.DeepEqual(blob, EncodeBlockSharded(kind, syms, shards)) {
+				t.Fatalf("%s shards=%d: int32 bins coded differently from their uint32 copy", kind, shards)
+			}
+			for _, workers := range []int{1, 2} {
+				got := make([]int32, len(bins))
+				if err := DecodeBlockInto(blob, got, workers); err != nil || !reflect.DeepEqual(got, bins) {
+					t.Fatalf("%s shards=%d workers=%d: round trip mismatch (%v)", kind, shards, workers, err)
+				}
+				for _, n := range []int{len(bins) - 1, len(bins) + 1} {
+					if err := DecodeBlockInto(blob, make([]int32, n), workers); err == nil {
+						t.Errorf("%s shards=%d workers=%d: %d symbols decoded into %d slots", kind, shards, workers, len(bins), n)
+					}
+				}
+			}
+		}
 	}
 }

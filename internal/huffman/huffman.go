@@ -4,6 +4,9 @@
 // and supports the multi-tree encoding used by CliZ's quantization-bin
 // classification (paper §VI-E): each classified group simply gets its own
 // Codec instance and bitstream.
+//
+// A symbol stream may also be a slice of int32 quantization bins, coded
+// and decoded where it lies as the bins' uint32 bit patterns.
 package huffman
 
 import (
@@ -92,7 +95,7 @@ func (c *Codec) buildLUT() {
 // codec. An empty input yields a codec that can encode nothing; a
 // single-symbol alphabet gets a 1-bit code. The codec's encode table lives
 // in pooled memory: call Release once done encoding.
-func Build(symbols []uint32) *Codec {
+func Build[S symhist.Symbol](symbols []S) *Codec {
 	h := symhist.Count(symbols)
 	return fromLengths(h.Syms, buildLengths(h.Freqs), h)
 }
@@ -246,14 +249,20 @@ func fromLengths(syms []uint32, lens []uint8, enc *symhist.Hist) *Codec {
 // encode afterwards; decoding and table serialization still work.
 func (c *Codec) Release() { c.enc.Release() }
 
-// Encode appends the codes for symbols to w. Unknown symbols are an error.
-// Codes are gathered in a local 64-bit accumulator and handed to w a word
-// at a time.
+// Encode appends the codes for symbols to w (EncodeSymbols over uint32).
 func (c *Codec) Encode(symbols []uint32, w *bitio.Writer) error {
+	return EncodeSymbols(c, symbols, w)
+}
+
+// EncodeSymbols appends the codes for symbols to w. Unknown symbols are an
+// error. Codes are gathered in a local 64-bit accumulator and handed to w a
+// word at a time.
+func EncodeSymbols[S symhist.Symbol](c *Codec, symbols []S, w *bitio.Writer) error {
 	lo, tab := c.enc.Dense()
 	var acc uint64
 	var n uint
-	for _, s := range symbols {
+	for _, sym := range symbols {
+		s := uint32(sym)
 		var v uint64
 		if i := s - lo; uint(i) < uint(len(tab)) {
 			v = tab[i]
@@ -303,20 +312,21 @@ func (c *Codec) DecodeOne(r *bitio.Reader) (uint32, error) {
 // Decode reads n symbols from r.
 func (c *Codec) Decode(n int, r *bitio.Reader) ([]uint32, error) {
 	out := make([]uint32, n)
-	if err := c.DecodeInto(out, r); err != nil {
+	if err := DecodeSymbols(c, out, r); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeInto fills dst with len(dst) symbols read from r. Beyond the LUT
+// DecodeSymbols fills dst with len(dst) symbols read from r. Beyond the LUT
 // itself (built once per codec), it allocates nothing, so parallel shard
 // decoders can decode straight into disjoint windows of one shared output
-// slice. Symbols whose code fits the LUT window resolve in one peek; longer
-// codes — and windows truncated by end of stream, where a LUT hit could be
-// an artifact of zero padding — fall back to the canonical walk, which
-// keeps the exact error behavior of DecodeOne.
-func (c *Codec) DecodeInto(dst []uint32, r *bitio.Reader) error {
+// slice, and quantization bins decode where they lie. Symbols whose code
+// fits the LUT window resolve in one peek; longer codes — and windows
+// truncated by end of stream, where a LUT hit could be an artifact of zero
+// padding — fall back to the canonical walk, which keeps the exact error
+// behavior of DecodeOne.
+func DecodeSymbols[S symhist.Symbol](c *Codec, dst []S, r *bitio.Reader) error {
 	c.lutOnce.Do(c.buildLUT)
 	lut := c.lut
 	if lut == nil {
@@ -326,7 +336,7 @@ func (c *Codec) DecodeInto(dst []uint32, r *bitio.Reader) error {
 			if err != nil {
 				return err
 			}
-			dst[i] = s
+			dst[i] = S(s)
 		}
 		return nil
 	}
@@ -347,7 +357,7 @@ func (c *Codec) DecodeInto(dst []uint32, r *bitio.Reader) error {
 			if e.n == 0 || used+uint(e.n) > avail {
 				break
 			}
-			dst[i] = e.sym
+			dst[i] = S(e.sym)
 			used += uint(e.n)
 			i++
 		}
@@ -363,7 +373,7 @@ func (c *Codec) DecodeInto(dst []uint32, r *bitio.Reader) error {
 		if err != nil {
 			return err
 		}
-		dst[i] = s
+		dst[i] = S(s)
 		i++
 	}
 	return nil
@@ -475,7 +485,7 @@ func EncodeBlock(symbols []uint32) []byte {
 }
 
 // AppendBlock is EncodeBlock appending to dst.
-func AppendBlock(dst []byte, symbols []uint32) []byte {
+func AppendBlock[S symhist.Symbol](dst []byte, symbols []S) []byte {
 	c := Build(symbols)
 	defer c.Release()
 	// The frequencies give the exact bitstream size, so the output grows
@@ -489,7 +499,7 @@ func AppendBlock(dst []byte, symbols []uint32) []byte {
 	dst = appendUvarint(dst, uint64(len(symbols)))
 	dst = appendUvarint(dst, uint64(nbytes))
 	w := bitio.AppendWriter(slices.Grow(dst, nbytes))
-	_ = c.Encode(symbols, w) // cannot fail: codec built from these symbols
+	_ = EncodeSymbols(c, symbols, w) // cannot fail: codec built from these symbols
 	return w.Bytes()
 }
 
@@ -503,40 +513,73 @@ func DecodeBlock(src []byte) ([]uint32, int, error) {
 // one-bit-per-symbol cap). Decoders that know their output volume should
 // pass it so a hostile count is rejected before allocation.
 func DecodeBlockMax(src []byte, maxSyms int) ([]uint32, int, error) {
-	c, pos, err := ParseTable(src)
+	b, err := parseBlock(src)
 	if err != nil {
 		return nil, 0, err
 	}
+	if b.n == 0 {
+		return nil, b.end, nil
+	}
+	if maxSyms >= 0 && b.n > uint64(maxSyms) {
+		return nil, 0, ErrCorrupt
+	}
+	syms, err := b.c.Decode(int(b.n), bitio.NewReader(b.stream))
+	if err != nil {
+		return nil, 0, err
+	}
+	return syms, b.end, nil
+}
+
+// DecodeBlockInto is DecodeBlock into dst, whose length must equal the
+// block's declared symbol count; a block declaring any other count is
+// rejected before a symbol is written.
+func DecodeBlockInto[S symhist.Symbol](src []byte, dst []S) error {
+	b, err := parseBlock(src)
+	if err != nil {
+		return err
+	}
+	if b.n != uint64(len(dst)) {
+		return ErrCorrupt
+	}
+	return DecodeSymbols(b.c, dst, bitio.NewReader(b.stream))
+}
+
+// block is a parsed EncodeBlock header: the codec, the declared symbol
+// count, the bitstream, and the end of the block in its source.
+type block struct {
+	c      *Codec
+	n      uint64
+	stream []byte
+	end    int
+}
+
+// parseBlock reads an EncodeBlock header and checks the declared count and
+// bitstream length against the source.
+func parseBlock(src []byte) (block, error) {
+	c, pos, err := ParseTable(src)
+	if err != nil {
+		return block{}, err
+	}
 	n, sz := uvarint(src[pos:])
 	if sz <= 0 {
-		return nil, 0, ErrCorrupt
+		return block{}, ErrCorrupt
 	}
 	pos += sz
 	blen, sz := uvarint(src[pos:])
 	if sz <= 0 {
-		return nil, 0, ErrCorrupt
+		return block{}, ErrCorrupt
 	}
 	pos += sz
 	// Compare in uint64 before converting: a declared length near 2^63
 	// would turn negative as an int.
 	if blen > uint64(len(src)-pos) {
-		return nil, 0, ErrCorrupt
-	}
-	if n == 0 {
-		return nil, pos + int(blen), nil
+		return block{}, ErrCorrupt
 	}
 	// Every symbol costs at least one bit, so a count that exceeds the
 	// bitstream's capacity is corrupt — reject before allocating n slots.
 	if n > 8*blen {
-		return nil, 0, ErrCorrupt
+		return block{}, ErrCorrupt
 	}
-	if maxSyms >= 0 && n > uint64(maxSyms) {
-		return nil, 0, ErrCorrupt
-	}
-	r := bitio.NewReader(src[pos : pos+int(blen)])
-	syms, err := c.Decode(int(n), r)
-	if err != nil {
-		return nil, 0, err
-	}
-	return syms, pos + int(blen), nil
+	end := pos + int(blen)
+	return block{c: c, n: n, stream: src[pos:end], end: end}, nil
 }

@@ -45,7 +45,7 @@ func TestSingleSymbolAlphabet(t *testing.T) {
 }
 
 func TestEmptyAlphabet(t *testing.T) {
-	c := Build(nil)
+	c := Build[uint32](nil)
 	if c.Alphabet() != 0 {
 		t.Fatal("empty alphabet expected")
 	}

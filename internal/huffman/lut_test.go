@@ -68,7 +68,7 @@ func TestDecodeIntoMatchesTreeDecode(t *testing.T) {
 					t.Fatalf("alphabet=%d skew=%v n=%d: tree decode: %v", alphabet, skew, n, err)
 				}
 				got := make([]uint32, n)
-				if err := c.DecodeInto(got, bitio.NewReader(stream)); err != nil {
+				if err := DecodeSymbols(c, got, bitio.NewReader(stream)); err != nil {
 					t.Fatalf("alphabet=%d skew=%v n=%d: LUT decode: %v", alphabet, skew, n, err)
 				}
 				for i := range want {
@@ -106,7 +106,7 @@ func TestDecodeIntoMatchesTreeOnReserializedCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]uint32, len(syms))
-	if err := parsed.DecodeInto(got, bitio.NewReader(stream)); err != nil {
+	if err := DecodeSymbols(parsed, got, bitio.NewReader(stream)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -148,7 +148,7 @@ func TestDecodeIntoLongCodesPastLUT(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]uint32, len(syms))
-	if err := c.DecodeInto(got, bitio.NewReader(stream)); err != nil {
+	if err := DecodeSymbols(c, got, bitio.NewReader(stream)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -182,7 +182,7 @@ func TestDecodeIntoCorruptDifferential(t *testing.T) {
 	for mi, mut := range mutants {
 		want, werr := decodeTree(c, len(syms), bitio.NewReader(mut))
 		got := make([]uint32, len(syms))
-		gerr := c.DecodeInto(got, bitio.NewReader(mut))
+		gerr := DecodeSymbols(c, got, bitio.NewReader(mut))
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("mutant %d: tree err=%v, LUT err=%v", mi, werr, gerr)
 		}
@@ -255,7 +255,7 @@ func BenchmarkDecodeIntoLUT(b *testing.B) {
 	b.SetBytes(int64(len(syms)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.DecodeInto(dst, bitio.NewReader(stream)); err != nil {
+		if err := DecodeSymbols(c, dst, bitio.NewReader(stream)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,21 +44,26 @@ type Hist struct {
 
 var pool = sync.Pool{New: func() any { return new([]uint64) }}
 
+// Symbol is the element type of a symbol stream: the coders' uint32
+// alphabets, or quantization bins coded where they lie as int32. An int32
+// symbol counts as its uint32 bit pattern.
+type Symbol interface{ ~int32 | ~uint32 }
+
 // Count tallies symbols. The returned Hist's slots start at zero; call
 // Release when done with it.
-func Count(symbols []uint32) *Hist {
+func Count[S Symbol](symbols []S) *Hist {
 	h := &Hist{}
 	if len(symbols) == 0 {
 		return h
 	}
-	lo, hi := symbols[0], symbols[0]
+	lo, hi := uint32(symbols[0]), uint32(symbols[0])
 	for _, s := range symbols {
-		lo = min(lo, s)
-		hi = max(hi, s)
+		lo = min(lo, uint32(s))
+		hi = max(hi, uint32(s))
 	}
 	span := uint64(hi-lo) + 1
 	if span > MaxSpan || span > minSymsPerSlot*uint64(len(symbols)) {
-		h.countSparse(symbols)
+		countSparse(h, symbols)
 		return h
 	}
 	h.lo = lo
@@ -69,7 +74,7 @@ func Count(symbols []uint32) *Hist {
 	d := (*h.buf)[:span]
 	clear(d)
 	for _, s := range symbols {
-		d[s-lo]++
+		d[uint32(s)-lo]++
 	}
 	k := 0
 	for _, c := range d {
@@ -92,8 +97,11 @@ func Count(symbols []uint32) *Hist {
 
 // countSparse is the fallback for wide or sparse alphabets: sort a copy and
 // run-length the distinct symbols.
-func (h *Hist) countSparse(symbols []uint32) {
-	sorted := slices.Clone(symbols)
+func countSparse[S Symbol](h *Hist, symbols []S) {
+	sorted := make([]uint32, len(symbols))
+	for i, s := range symbols {
+		sorted[i] = uint32(s)
+	}
 	slices.Sort(sorted)
 	for i := 0; i < len(sorted); {
 		j := i + 1

@@ -11,7 +11,7 @@ import (
 )
 
 // gatedWorkloads are the archive workloads that bench_gates.sh grades for
-// materialized transposes and entropy-decode time.
+// materialized transposes, entropy-decode time and allocation.
 var gatedWorkloads = []string{"ssh-periodic-masked", "cesm-smooth-large", "hurricane-tight"}
 
 func workloadNames(t *testing.T) []string {
@@ -43,8 +43,10 @@ func cleanLine() map[string]any {
 		"attempted": 10,
 		"failed":    0,
 		"metrics": map[string]any{
-			"grid.permute_count":       map[string]any{"value": 0},
-			"entropy.decode_ms_per_mb": map[string]any{"value": 1.0},
+			"grid.permute_count":             map[string]any{"value": 0},
+			"entropy.decode_ms_per_mb":       map[string]any{"value": 1.0},
+			"core.compress_alloc_b_per_pt":   map[string]any{"value": 8.0},
+			"core.decompress_alloc_b_per_pt": map[string]any{"value": 8.0},
 		},
 	}
 }
@@ -79,6 +81,12 @@ func TestBenchGates(t *testing.T) {
 			"FAIL hurricane-tight: entropy.decode_ms_per_mb over"},
 		{"entropy-decode-missing", "ssh-periodic-masked", func(l map[string]any) { delete(l["metrics"].(map[string]any), "entropy.decode_ms_per_mb") },
 			"FAIL ssh-periodic-masked: entropy.decode_ms_per_mb over"},
+		{"compress-alloc-over-ceiling", "cesm-smooth-large", func(l map[string]any) { metric(l, "core.compress_alloc_b_per_pt")["value"] = 12.2 },
+			"FAIL cesm-smooth-large: core.compress_alloc_b_per_pt over"},
+		{"decompress-alloc-over-ceiling", "ssh-periodic-masked", func(l map[string]any) { metric(l, "core.decompress_alloc_b_per_pt")["value"] = 12.8 },
+			"FAIL ssh-periodic-masked: core.decompress_alloc_b_per_pt over"},
+		{"decompress-alloc-missing", "hurricane-tight", func(l map[string]any) { delete(l["metrics"].(map[string]any), "core.decompress_alloc_b_per_pt") },
+			"FAIL hurricane-tight: core.decompress_alloc_b_per_pt over"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
