@@ -718,7 +718,6 @@ func (u *unitPrediction) encode(classified bool) ([]byte, error) {
 	}
 	p, opt, v, tvalid := u.p, u.opt, u.v, u.tvalid
 	p.Classify = classified
-	W := opt.workers()
 	h := header{
 		flags:     maskFlags(v) | fitFlag(p),
 		eb:        u.eb,
@@ -744,8 +743,8 @@ func (u *unitPrediction) encode(classified bool) ([]byte, error) {
 		w.add(secMask, ms)
 		sp.EndBytes(int64(len(v.pts)), int64(len(ms)))
 	}
-	be := opt.Backend
 	if p.Classify {
+		W, be := opt.workers(), opt.Backend
 		bins := u.placedBins()
 		sp := trace.Begin(opt.Trace, "classify")
 		nLat, nLon := latLon(u.dims)
@@ -773,24 +772,56 @@ func (u *unitPrediction) encode(classified bool) ([]byte, error) {
 	} else {
 		// The bins are coded where they lie, the valid ones gathered to the
 		// front of a masked unit's bins.
-		syms := u.validBins()
-		sp := trace.Begin(opt.Trace, "entropy")
-		enc := entropy.EncodeBlockSharded(opt.Entropy, syms, W)
-		sp.Stop()
-		sp.EndFull(int64(len(syms))*4, int64(len(enc)), int64(len(syms)),
-			entropyStats(opt.Trace, enc))
-		sp = trace.Begin(opt.Trace, "lossless")
-		ls := lossless.Encode(be, enc)
-		w.add(secBins, ls)
-		sp.EndBytes(int64(len(enc)), int64(len(ls)))
+		w.add(secBins, encodeBins(u.validBins(), opt))
 	}
-	sp := trace.Begin(opt.Trace, "literals")
 	if u.litEnc == nil {
-		u.litEnc = lossless.Encode(be, float32sToBytes(u.lits))
+		u.litEnc = encodeLiterals(u.lits, opt)
 	}
 	w.add(secLiterals, u.litEnc)
-	sp.EndFull(int64(len(u.lits))*4, int64(len(u.litEnc)), int64(len(u.lits)), nil)
 	return w.bytes(), nil
+}
+
+// encodeBins is the bins half of the residual coder a unit blob and a delta
+// frame share: it entropy-codes the valid points' bins, in order, where
+// they lie, and puts the block through the lossless stage.
+func encodeBins(bins []int32, opt Options) []byte {
+	sp := trace.Begin(opt.Trace, "entropy")
+	enc := entropy.EncodeBlockSharded(opt.Entropy, bins, opt.workers())
+	sp.Stop()
+	sp.EndFull(int64(len(bins))*4, int64(len(enc)), int64(len(bins)),
+		entropyStats(opt.Trace, enc))
+	sp = trace.Begin(opt.Trace, "lossless")
+	ls := lossless.Encode(opt.Backend, enc)
+	sp.EndBytes(int64(len(enc)), int64(len(ls)))
+	return ls
+}
+
+// encodeLiterals is the literals half of the residual coder: the literals
+// as float32 LE through the lossless stage.
+func encodeLiterals(lits []float32, opt Options) []byte {
+	sp := trace.Begin(opt.Trace, "literals")
+	enc := lossless.Encode(opt.Backend, float32sToBytes(lits))
+	sp.EndFull(int64(len(lits))*4, int64(len(enc)), int64(len(lits)), nil)
+	return enc
+}
+
+// decodeBins reverses encodeBins into bins, whose length is the valid
+// count: a block that declares any other count is corrupt.
+func decodeBins(sec []byte, bins []int32, workers int) error {
+	raw, err := lossless.Decode(sec)
+	if err != nil {
+		return corrupt(err)
+	}
+	return corrupt(entropy.DecodeBlockInto(raw, bins, workers))
+}
+
+// decodeLiterals reverses encodeLiterals.
+func decodeLiterals(sec []byte) ([]float32, error) {
+	b, err := lossless.Decode(sec)
+	if err != nil {
+		return nil, corrupt(err)
+	}
+	return bytesToFloat32s(b)
 }
 
 // recon returns the unit's reconstruction in the original array layout.
@@ -976,7 +1007,7 @@ func decodeAt(blob []byte, pos *int, opt DecompressOptions) ([]float32, []int, m
 	if err != nil {
 		return nil, nil, maskedFill{}, fmt.Errorf("core: template: %w", err)
 	}
-	if len(tmplDims) != len(h.dims) || tmplDims[0] != h.pipe.Period || !dimsEqual(tmplDims[1:], h.dims[1:]) {
+	if len(tmplDims) != len(h.dims) || tmplDims[0] != h.pipe.Period || !slices.Equal(tmplDims[1:], h.dims[1:]) {
 		return nil, nil, maskedFill{}, ErrCorrupt
 	}
 	rpos := 0
@@ -984,7 +1015,7 @@ func decodeAt(blob []byte, pos *int, opt DecompressOptions) ([]float32, []int, m
 	if err != nil {
 		return nil, nil, maskedFill{}, fmt.Errorf("core: residual: %w", err)
 	}
-	if !dimsEqual(resDims, h.dims) {
+	if !slices.Equal(resDims, h.dims) {
 		return nil, nil, maskedFill{}, ErrCorrupt
 	}
 	sp := trace.Begin(c, "compose")
@@ -1119,16 +1150,11 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 			return nil, nil, maskedFill{}, err
 		}
 		// The symbols decode straight into the bins: a masked unit's into
-		// the front, scattered out to the valid points afterwards. The
-		// block must declare exactly the valid count.
-		raw, err := lossless.Decode(sec)
-		if err != nil {
-			return nil, nil, maskedFill{}, corrupt(err)
-		}
+		// the front, scattered out to the valid points afterwards.
 		bins = make([]int32, vol)
 		n := validCount(tvalid, vol)
-		if err := entropy.DecodeBlockInto(raw, bins[:n], workers); err != nil {
-			return nil, nil, maskedFill{}, corrupt(err)
+		if err := decodeBins(sec, bins[:n], workers); err != nil {
+			return nil, nil, maskedFill{}, err
 		}
 		scatterValid(bins, n, tvalid)
 	}
@@ -1141,15 +1167,11 @@ func decompressUnit(blob []byte, pos *int, h header, opt DecompressOptions) ([]f
 	if !sr.done() {
 		return nil, nil, maskedFill{}, ErrCorrupt
 	}
-	litBytes, err := lossless.Decode(litSec)
-	if err != nil {
-		return nil, nil, maskedFill{}, corrupt(err)
-	}
-	lits, err := bytesToFloat32s(litBytes)
+	lits, err := decodeLiterals(litSec)
 	if err != nil {
 		return nil, nil, maskedFill{}, err
 	}
-	sp.EndFull(int64(len(litSec)), int64(len(litBytes)), int64(len(lits)), nil)
+	sp.EndFull(int64(len(litSec)), int64(len(lits))*4, int64(len(lits)), nil)
 	recName := "reconstruct"
 	if h.psections > 1 {
 		recName = "reconstruct-fanout"
@@ -1225,18 +1247,6 @@ func unpackBitmap(blob []byte, n int) ([]bool, error) {
 		out[i] = bits[i/8]&(1<<(i%8)) != 0
 	}
 	return out, nil
-}
-
-func dimsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // latLon returns the trailing-two extents.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cliz/internal/datagen"
@@ -587,3 +588,6 @@ func TestEnumerateWithLorenzo(t *testing.T) {
 		t.Fatalf("lorenzo-extended 3D pipelines = %d want 144", got)
 	}
 }
+
+// dimsEqual reports whether two dims lists are equal.
+var dimsEqual = slices.Equal[[]int]

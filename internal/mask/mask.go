@@ -214,7 +214,9 @@ func Parse(src []byte) (*Map, error) {
 	}
 	nLat := int(binary.LittleEndian.Uint32(src[0:]))
 	nLon := int(binary.LittleEndian.Uint32(src[4:]))
-	if nLat <= 0 || nLon <= 0 || nLat*nLon > 1<<31 {
+	// Divide rather than multiply: two 32-bit extents can overflow the
+	// product past the cap into a negative count.
+	if nLat <= 0 || nLon <= 0 || nLat > (1<<31)/nLon {
 		return nil, ErrCorrupt
 	}
 	bits, err := lossless.Decode(src[8:])

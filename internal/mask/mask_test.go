@@ -1,6 +1,7 @@
 package mask
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -114,6 +115,20 @@ func TestParseCorrupt(t *testing.T) {
 	for _, blob := range [][]byte{nil, {1, 2, 3}, make([]byte, 8), truncated} {
 		if _, err := Parse(blob); err == nil {
 			t.Fatalf("Parse(%v) should fail", blob)
+		}
+	}
+}
+
+// TestParseOverflowingExtents: two 32-bit extents whose product overflows
+// int into a negative cell count must be rejected, not reach make().
+func TestParseOverflowingExtents(t *testing.T) {
+	blob := New(2, 2, []int32{1, 1, 1, 1}).Serialize()
+	for _, ext := range [][2]uint32{{0xffffffff, 0xffffffff}, {0x80000000, 0x80000000}, {1 << 16, 1<<15 + 1}} {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad[0:], ext[0])
+		binary.LittleEndian.PutUint32(bad[4:], ext[1])
+		if _, err := Parse(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("extents %dx%d: error %v, want ErrCorrupt", ext[0], ext[1], err)
 		}
 	}
 }

@@ -1,7 +1,11 @@
-// Package stream implements the CliZ temporal streaming codec: an
-// append-oriented container where each timestep is either a sync frame (an
+// Package stream implements the CliZ temporal streaming container: an
+// append-oriented sequence where each timestep is either a sync frame (an
 // independent CliZ blob) or a delta frame whose every point is quantized
-// against the decoder-visible reconstruction of the previous frame.
+// against the decoder-visible reconstruction of the previous frame. Both
+// kinds of frame are coded by internal/core — sync frames by the blob
+// codec, delta frames by core.Delta, whose bins and literals go through the
+// residual coder a blob uses — so this package keeps only the container:
+// framing, checksums, the keyframe schedule and intra fallback, and Seek.
 //
 // Predicting from the *reconstruction* rather than the original data is the
 // SZ3 correctness discipline: the quantizer verifies each point against the
@@ -22,9 +26,10 @@
 // sync offset must point at the byte offset of the governing sync record
 // (the record's own offset for key/intra frames), so a scan validates the
 // chain structurally before any payload is touched. Key and intra payloads
-// are full CliZ blobs; delta payloads are two framed sections (entropy-coded
-// quantization bins of the valid points, then float32 literals), each put
-// through the lossless backend.
+// are full CliZ blobs; delta payloads are two uvarint-framed sections, the
+// layout of a blob's bins and literals sections: the entropy-coded
+// quantization bins of the valid points, then the float32 LE literals, each
+// put through the lossless backend.
 //
 // There is no footer: a stream truncated at a record boundary is a valid
 // shorter stream, which is exactly the crash semantics an append workload
@@ -123,9 +128,9 @@ func (e *FrameError) Error() string {
 func (e *FrameError) Unwrap() error { return e.Err }
 
 // corrupt classifies a sub-package decode failure as stream corruption,
-// preserving already-classified errors.
+// preserving already-classified errors and interrupts.
 func corrupt(err error) error {
-	if err == nil || errors.Is(err, core.ErrCorrupt) {
+	if err == nil || errors.Is(err, core.ErrCorrupt) || errors.Is(err, core.ErrInterrupted) {
 		return err
 	}
 	return fmt.Errorf("%w: %w", ErrCorrupt, err)
@@ -375,25 +380,4 @@ func parseRecord(src []byte, pos *int, index, lastSyncOff, lastSyncIdx int) (rec
 	rec.payloadLen = int(pl)
 	*pos += int(pl)
 	return rec, nil
-}
-
-// float32sToBytes serializes literals little-endian (the core literal wire
-// format).
-func float32sToBytes(xs []float32) []byte {
-	out := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(x))
-	}
-	return out
-}
-
-func bytesToFloat32s(b []byte) ([]float32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("stream: literal bytes not a multiple of 4: %w", ErrCorrupt)
-	}
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
 }

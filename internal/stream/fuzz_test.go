@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cliz/internal/core"
+	"cliz/internal/mask"
 )
 
 // fuzzSeedStream builds a small valid stream for the seed corpus.
@@ -32,12 +33,52 @@ func fuzzSeedStream(tb testing.TB, interval int) []byte {
 	return buf.Bytes()
 }
 
+// fuzzMaskedSeedStream builds a small valid masked stream with a fill value
+// and delta frames, for the seed corpus.
+func fuzzMaskedSeedStream(tb testing.TB) []byte {
+	tb.Helper()
+	const fill float32 = 1e35
+	regions := make([]int32, 48)
+	for i := range regions {
+		if i%5 != 0 {
+			regions[i] = 1
+		}
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Config{Dims: []int{2, 6, 8}, Mask: mask.New(6, 8, regions),
+		Fill: fill, EB: 1e-2, Interval: 4})
+	if err != nil {
+		tb.Fatalf("NewWriter: %v", err)
+	}
+	for t := 0; t < 5; t++ {
+		frame := make([]float32, 96)
+		for i := range frame {
+			frame[i] = float32(t)*0.05 + float32(i%7)
+			if regions[i%48] == 0 {
+				frame[i] = fill
+			}
+		}
+		info, err := w.Append(frame)
+		if err != nil {
+			tb.Fatalf("Append: %v", err)
+		}
+		if t%4 != 0 && info.Kind != KindDelta {
+			tb.Fatalf("seed frame %d is %v, want delta", t, info.Kind)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatalf("Close: %v", err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzParse feeds arbitrary bytes to the stream parser and, when parsing
 // succeeds, decodes a bounded number of frames. The contract: no panics, no
 // unbounded allocations, and every rejection wraps core.ErrCorrupt.
 func FuzzParse(f *testing.F) {
 	valid := fuzzSeedStream(f, 2)
 	f.Add(valid)
+	f.Add(fuzzMaskedSeedStream(f))
 	// Truncations: inside the header, inside a record header, inside a payload.
 	for _, n := range []int{0, 3, 10, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:n])

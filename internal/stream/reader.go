@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"cliz/internal/core"
-	"cliz/internal/entropy"
-	"cliz/internal/lossless"
-	"cliz/internal/quant"
 )
 
 // RecordInfo locates one frame record inside a parsed stream. Tests and the
@@ -42,8 +40,8 @@ type Reader struct {
 	h    streamHeader
 	recs []record
 	opt  core.DecompressOptions
-	// valid is the broadcast per-frame validity (nil when unmasked).
-	valid []bool
+	// delta decodes the delta frames.
+	delta *core.Delta
 	// cur holds the reconstruction of frame curFrame (-1 = none yet);
 	// delta frames predict from it.
 	cur      []float32
@@ -74,12 +72,9 @@ func Parse(blob []byte, opt core.DecompressOptions) (*Reader, error) {
 		}
 		r.recs = append(r.recs, rec)
 	}
-	if h.mask != nil {
-		valid, err := h.mask.Broadcast(h.dims)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		r.valid = valid
+	r.delta, err = core.NewDelta(h.dims, h.mask, h.eb, h.radius, h.fill)
+	if err != nil {
+		return nil, corrupt(err)
 	}
 	return r, nil
 }
@@ -186,7 +181,7 @@ func (r *Reader) decodeFrame(t int) error {
 		if err != nil {
 			return &FrameError{Frame: t, Err: corrupt(err)}
 		}
-		if len(data) != r.h.volume() || !dimsEqual(dims, r.h.dims) {
+		if len(data) != r.h.volume() || !slices.Equal(dims, r.h.dims) {
 			return &FrameError{Frame: t,
 				Err: fmt.Errorf("stream: frame dims %v do not match stream dims %v: %w",
 					dims, r.h.dims, ErrCorrupt)}
@@ -202,147 +197,14 @@ func (r *Reader) decodeFrame(t int) error {
 		return &FrameError{Frame: t,
 			Err: fmt.Errorf("stream: delta frame without predecessor state: %w", ErrCorrupt)}
 	}
-	if err := r.decodeDelta(payload); err != nil {
+	out := r.alt
+	if len(out) != len(r.cur) {
+		out = make([]float32, len(r.cur))
+	}
+	if err := r.delta.Decode(payload, r.cur, out, r.opt); err != nil {
 		return &FrameError{Frame: t, Err: corrupt(err)}
 	}
+	r.alt, r.cur = r.cur, out
 	r.curFrame = t
 	return nil
-}
-
-// decodeDelta reconstructs a delta frame from its payload against r.cur,
-// leaving the new reconstruction in r.cur.
-func (r *Reader) decodeDelta(payload []byte) error {
-	vol := r.h.volume()
-	workers := r.opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	pos := 0
-	binsSec, err := readDeltaSection(payload, &pos)
-	if err != nil {
-		return err
-	}
-	litSec, err := readDeltaSection(payload, &pos)
-	if err != nil {
-		return err
-	}
-	if pos != len(payload) {
-		return fmt.Errorf("stream: %d trailing bytes in delta payload: %w",
-			len(payload)-pos, ErrCorrupt)
-	}
-	raw, err := corruptDecode(binsSec)
-	if err != nil {
-		return err
-	}
-	syms, err := decodeBins(raw, workers, vol)
-	if err != nil {
-		return err
-	}
-	litBytes, err := corruptDecode(litSec)
-	if err != nil {
-		return err
-	}
-	lits, err := bytesToFloat32s(litBytes)
-	if err != nil {
-		return err
-	}
-	q := newQuantizer(r.h)
-	out := r.alt
-	if len(out) != vol {
-		out = make([]float32, vol)
-	}
-	si, li := 0, 0
-	maxBin := 2*uint32(r.h.radius) - 1
-	for i := 0; i < vol; i++ {
-		// A replayed Seek can decode a keyframe interval's worth of deltas;
-		// poll mid-frame so cancellation is not gated on frame boundaries.
-		if i&0xffff == 0 {
-			if err := r.interrupted(); err != nil {
-				return err
-			}
-		}
-		if r.valid != nil && !r.valid[i] {
-			out[i] = r.h.fill
-			continue
-		}
-		if si >= len(syms) {
-			return fmt.Errorf("stream: delta payload short of %d bin symbols: %w",
-				vol-i, ErrCorrupt)
-		}
-		sym := syms[si]
-		si++
-		if sym > maxBin {
-			return fmt.Errorf("stream: bin symbol %d outside radius %d: %w",
-				sym, r.h.radius, ErrCorrupt)
-		}
-		if sym == 0 {
-			if li >= len(lits) {
-				return fmt.Errorf("stream: delta payload short of literals: %w", ErrCorrupt)
-			}
-			out[i] = lits[li]
-			li++
-			continue
-		}
-		out[i] = float32(q.Recover(float64(r.cur[i]), int32(sym), 0))
-	}
-	if si != len(syms) || li != len(lits) {
-		return fmt.Errorf("stream: %d bin / %d literal symbols left over: %w",
-			len(syms)-si, len(lits)-li, ErrCorrupt)
-	}
-	r.alt = r.cur
-	r.cur = out
-	return nil
-}
-
-// readDeltaSection reads one length-prefixed section of a delta payload.
-func readDeltaSection(payload []byte, pos *int) ([]byte, error) {
-	l, err := readUvarint(payload, pos)
-	if err != nil {
-		return nil, fmt.Errorf("stream: bad delta section length: %w", ErrCorrupt)
-	}
-	if l > uint64(len(payload)-*pos) {
-		return nil, fmt.Errorf("stream: delta section truncated: %w", ErrCorrupt)
-	}
-	out := payload[*pos : *pos+int(l)]
-	*pos += int(l)
-	return out, nil
-}
-
-// newQuantizer rebuilds the writer's quantizer from the stream header; the
-// Recover arithmetic must match Quantize bit for bit, which quant guarantees
-// for equal (eb, radius).
-func newQuantizer(h streamHeader) quant.Quantizer {
-	return quant.New(h.eb, h.radius)
-}
-
-// corruptDecode lossless-decodes a section, classifying failure as stream
-// corruption.
-func corruptDecode(sec []byte) ([]byte, error) {
-	out, err := lossless.Decode(sec)
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	return out, nil
-}
-
-// decodeBins entropy-decodes a bin-symbol block; the entropy layer rejects
-// declared symbol counts beyond maxSyms before allocating.
-func decodeBins(raw []byte, workers, maxSyms int) ([]uint32, error) {
-	syms, err := entropy.DecodeBlockBounded(raw, workers, maxSyms)
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	return syms, nil
-}
-
-func dimsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,10 +8,7 @@ import (
 
 	"cliz/internal/core"
 	"cliz/internal/dataset"
-	"cliz/internal/entropy"
-	"cliz/internal/lossless"
 	"cliz/internal/mask"
-	"cliz/internal/quant"
 )
 
 // DefaultKeyframeInterval is the keyframe spacing when Config.Interval is 0:
@@ -66,12 +63,10 @@ type FrameInfo struct {
 type Writer struct {
 	w   io.Writer
 	cfg Config
-	q   quant.Quantizer
 	// pipe is the resolved intra-frame pipeline.
 	pipe core.Pipeline
-	// valid is the broadcast per-point validity (nil when unmasked).
-	valid      []bool
-	validCount int
+	// delta codes the delta frames.
+	delta *core.Delta
 	// prev holds the reconstruction of the last appended frame — exactly
 	// the state the decoder holds after reading it.
 	prev    []float32
@@ -115,32 +110,14 @@ func NewWriter(w io.Writer, cfg Config) (*Writer, error) {
 	if cfg.Interval < 1 || cfg.Interval > maxInterval {
 		return nil, fmt.Errorf("stream: keyframe interval %d not in 1..%d", cfg.Interval, maxInterval)
 	}
-	radius := cfg.Opts.Radius
-	if radius == 0 {
-		radius = quant.DefaultRadius
+	if cfg.Mask != nil && len(cfg.Dims) < 2 {
+		return nil, errors.New("stream: mask requires frame rank >= 2")
 	}
-	sw := &Writer{
-		w:   w,
-		cfg: cfg,
-		q:   quant.New(cfg.EB, radius),
+	delta, err := core.NewDelta(cfg.Dims, cfg.Mask, cfg.EB, cfg.Opts.Radius, cfg.Fill)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Mask != nil {
-		if len(cfg.Dims) < 2 {
-			return nil, errors.New("stream: mask requires frame rank >= 2")
-		}
-		valid, err := cfg.Mask.Broadcast(cfg.Dims)
-		if err != nil {
-			return nil, err
-		}
-		sw.valid = valid
-		for _, ok := range valid {
-			if ok {
-				sw.validCount++
-			}
-		}
-	} else {
-		sw.validCount = vol
-	}
+	sw := &Writer{w: w, cfg: cfg, delta: delta}
 	// Resolve the intra-frame pipeline once; every key/intra frame reuses it.
 	if cfg.Pipe != nil {
 		sw.pipe = *cfg.Pipe
@@ -156,7 +133,7 @@ func NewWriter(w io.Writer, cfg Config) (*Writer, error) {
 	h := streamHeader{
 		eb:       cfg.EB,
 		fill:     cfg.Fill,
-		radius:   radius,
+		radius:   delta.Radius(),
 		dims:     cfg.Dims,
 		interval: cfg.Interval,
 		mask:     cfg.Mask,
@@ -247,7 +224,7 @@ func (w *Writer) Append(frame []float32) (FrameInfo, error) {
 		// points (the residual left the quantizer range) or a payload close
 		// to the last intra-coded frame's — try intra-frame prediction and
 		// keep the smaller encoding. Intra frames double as sync points.
-		tryIntra := 8*lits >= w.validCount ||
+		tryIntra := 8*lits >= w.delta.ValidCount() ||
 			(w.lastIntraBytes > 0 && 4*len(payload) >= 3*w.lastIntraBytes)
 		if tryIntra {
 			ipay, irecon, err := w.encodeIntra(frame)
@@ -306,9 +283,9 @@ func (w *Writer) encodeIntra(frame []float32) ([]byte, []float32, error) {
 	return core.CompressWithRecon(w.frameDataset(frame), w.cfg.EB, w.pipe, w.cfg.Opts)
 }
 
-// encodeDelta quantizes every valid point against the previous frame's
-// reconstruction. It returns the payload, the new reconstruction and the
-// literal (unpredictable-point) count that feeds the fallback heuristic.
+// encodeDelta codes the frame against the previous frame's reconstruction.
+// It returns the payload, the new reconstruction and the literal
+// (unpredictable-point) count that feeds the fallback heuristic.
 func (w *Writer) encodeDelta(frame []float32) ([]byte, []float32, int, error) {
 	if len(w.prev) != len(frame) {
 		return nil, nil, 0, errors.New("stream: delta frame without a predecessor")
@@ -318,40 +295,6 @@ func (w *Writer) encodeDelta(frame []float32) ([]byte, []float32, int, error) {
 		recon = make([]float32, len(frame))
 	}
 	w.scratch = w.prev // recycle the retiring buffer next Append
-	syms := make([]uint32, 0, w.validCount)
-	var lits []float32
-	for i, orig := range frame {
-		// Cancellation must reach a delta encode mid-frame: one frame can be
-		// hundreds of MiB, far past the frame-boundary poll in Append.
-		if i&0xffff == 0 {
-			if err := w.interrupted(); err != nil {
-				return nil, nil, 0, err
-			}
-		}
-		if w.valid != nil && !w.valid[i] {
-			recon[i] = w.cfg.Fill
-			continue
-		}
-		bin, rv, exact := w.q.Quantize(float64(w.prev[i]), float64(orig))
-		if exact {
-			syms = append(syms, 0)
-			lits = append(lits, orig)
-			recon[i] = orig
-			continue
-		}
-		syms = append(syms, uint32(bin))
-		recon[i] = float32(rv)
-	}
-	workers := w.cfg.Opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	binsSec := lossless.Encode(w.cfg.Opts.Backend, entropy.EncodeBlockSharded(w.cfg.Opts.Entropy, syms, workers))
-	litSec := lossless.Encode(w.cfg.Opts.Backend, float32sToBytes(lits))
-	payload := make([]byte, 0, len(binsSec)+len(litSec)+2*10)
-	payload = appendUvarint(payload, uint64(len(binsSec)))
-	payload = append(payload, binsSec...)
-	payload = appendUvarint(payload, uint64(len(litSec)))
-	payload = append(payload, litSec...)
-	return payload, recon, len(lits), nil
+	payload, lits, err := w.delta.Encode(frame, w.prev, recon, w.cfg.Opts)
+	return payload, recon, lits, err
 }
