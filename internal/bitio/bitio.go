@@ -132,14 +132,18 @@ func NewReader(buf []byte) *Reader {
 	return &Reader{buf: buf}
 }
 
-// fill loads up to 8 more bytes into the accumulator.
+// fill tops the accumulator up to at least 57 valid bits, or to the end of
+// the input. While 8 bytes remain it loads them as one big-endian word and
+// keeps as many whole bytes of it as the accumulator has room for; only the
+// last 7 bytes of the input go one at a time.
 func (r *Reader) fill() {
-	// Bulk path: 4 bytes at a time while they fit both the accumulator and
-	// the remaining input.
-	for r.nbit <= 32 && r.pos+4 <= len(r.buf) {
-		r.cur = r.cur<<32 | uint64(binary.BigEndian.Uint32(r.buf[r.pos:]))
-		r.pos += 4
-		r.nbit += 32
+	if r.pos+8 <= len(r.buf) {
+		k := (64 - r.nbit) / 8 // bytes that fit; shifts of 64 yield 0 in Go
+		w := binary.BigEndian.Uint64(r.buf[r.pos:])
+		r.cur = r.cur<<(8*k) | w>>(64-8*k)
+		r.pos += int(k)
+		r.nbit += 8 * k
+		return
 	}
 	for r.nbit <= 56 && r.pos < len(r.buf) {
 		r.cur = r.cur<<8 | uint64(r.buf[r.pos])
@@ -199,10 +203,9 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 // bits are out of contract: they never corrupt state or leak stale bits,
 // but whether any bits are reported depends on the buffer state.
 func (r *Reader) Peek(n uint) (uint64, uint) {
-	// Fast path — enough bits buffered — kept within the inlining budget so
-	// it disappears into the Huffman LUT decode loop. Safe for any n that
-	// passes the guard: n <= nbit <= 64, and Go shifts by >= 64 yield the
-	// correct all-ones mask for n == 64.
+	// Fast path — enough bits buffered. Safe for any n that passes the
+	// guard: n <= nbit <= 64, and Go shifts by >= 64 yield the correct
+	// all-ones mask for n == 64.
 	if r.nbit >= n {
 		return (r.cur >> (r.nbit - n)) & (1<<n - 1), n
 	}

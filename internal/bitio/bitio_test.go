@@ -310,3 +310,49 @@ func TestPeekConsumeInterleavedWithReads(t *testing.T) {
 		}
 	}
 }
+
+// TestPeekWindowsToEnd walks buffers of 0–24 bytes, each read as a run of
+// 56-bit peeks and consumes of 1–56 bits, against the bits of the buffer
+// itself. It covers the word refill at every distance from the end of the
+// input, the switch to single bytes for the last 7 and the zero padding of
+// a short window.
+func TestPeekWindowsToEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for size := 0; size <= 24; size++ {
+		buf := make([]byte, size)
+		rng.Read(buf)
+		bit := func(i int) uint64 {
+			if i >= 8*size {
+				return 0
+			}
+			return uint64(buf[i/8]>>(7-i%8)) & 1
+		}
+		for trial := 0; trial < 20; trial++ {
+			r := NewReader(buf)
+			for pos := 0; ; {
+				v, avail := r.Peek(56)
+				if want := uint(min(56, 8*size-pos)); avail != want {
+					t.Fatalf("size %d at bit %d: avail %d, want %d", size, pos, avail, want)
+				}
+				var want uint64
+				for i := 0; i < 56; i++ {
+					want = want<<1 | bit(pos+i)
+				}
+				if v != want {
+					t.Fatalf("size %d at bit %d: peek %014x, want %014x", size, pos, v, want)
+				}
+				if avail == 0 {
+					break
+				}
+				n := uint(1 + rng.Intn(int(avail)))
+				if err := r.Consume(n); err != nil {
+					t.Fatal(err)
+				}
+				pos += int(n)
+				if got := r.BitsRemaining(); got != 8*size-pos {
+					t.Fatalf("size %d at bit %d: %d bits remaining", size, pos, got)
+				}
+			}
+		}
+	}
+}

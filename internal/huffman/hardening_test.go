@@ -3,6 +3,8 @@ package huffman
 import (
 	"errors"
 	"testing"
+
+	"cliz/internal/bitio"
 )
 
 // TestParseTableHugeDeclaredCount feeds ParseTable a header declaring
@@ -52,6 +54,44 @@ func TestDecodeBlockHugeBitstreamLength(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("n=%d blen=%d: want ErrCorrupt, got %v (%d symbols, %d bytes)", n, blen, err, len(got), used)
 			}
+		}
+	}
+}
+
+// TestParseTableOversubscribed feeds ParseTable length tables whose Kraft
+// sum exceeds 1. Such a table is no prefix code, and its canonical codes
+// run past their length's range: three 1-bit codes used to be accepted,
+// and the first decode then indexed past the end of the decode table and
+// panicked. A table that exactly fills the code space is still accepted.
+func TestParseTableOversubscribed(t *testing.T) {
+	for _, tc := range []struct {
+		lens []uint8
+		ok   bool
+	}{
+		{[]uint8{1, 1, 1}, false},
+		{[]uint8{1, 2, 2, 3}, false},
+		{[]uint8{2, 1, 2}, true},
+		{[]uint8{1, MaxCodeLen}, true},
+		{[]uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 13}, true},
+	} {
+		blob := appendUvarint(nil, uint64(len(tc.lens)))
+		for i, l := range tc.lens {
+			blob = append(blob, min(byte(i), 1), l) // symbols 0, 1, 2, ...
+		}
+		c, _, err := ParseTable(blob)
+		if tc.ok != (err == nil) {
+			t.Fatalf("lengths %v: error %v, want accepted=%v", tc.lens, err, tc.ok)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("lengths %v: want ErrCorrupt, got %v", tc.lens, err)
+			}
+			continue
+		}
+		dst := make([]uint32, 8)
+		err = DecodeSymbols(c, dst, bitio.NewReader([]byte{0x5a, 0xff, 0x00}))
+		if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, bitio.ErrOverrun) {
+			t.Fatalf("lengths %v: unclassified decode error %v", tc.lens, err)
 		}
 	}
 }

@@ -39,15 +39,16 @@ type Codec struct {
 	// symbols outside the alphabet).
 	enc *symhist.Hist
 	// canonical decode tables
+	minLen     uint
 	maxLen     uint
 	firstCode  []uint64 // first canonical code value of each length
 	firstIdx   []int    // index into symsByCode of the first code of each length
 	counts     []int    // number of codes of each length
 	symsByCode []uint32 // symbols sorted by (length, code)
 	// decode-only LUT over the next lutBits of the stream; built lazily on
-	// first DecodeInto, shared safely by concurrent shard decoders.
+	// first decode, shared safely by concurrent shard decoders.
 	lutOnce sync.Once
-	lut     []lutEntry
+	lut     *[1 << lutBits]lutEntry
 }
 
 // lutBits is the window width of the single-level decode table. Quantizer
@@ -56,39 +57,60 @@ type Codec struct {
 // while the 2^11-entry table still fits comfortably in L1.
 const lutBits = 11
 
-// lutEntry resolves one lutBits-wide bit window to the symbol whose code is
-// a prefix of it. n is the code length to consume; n == 0 means no code of
-// length <= lutBits matches and the decoder must take the canonical
-// bit-by-bit path.
+// runMaxLen is the longest shortest code the decoder also reads as runs.
+// A canonical code's first code of the shortest length is all zeros, so
+// when that code is 1 or 2 bits long — the dominant bin at any but the
+// tightest bound — one leading-zero count decodes a whole run of it.
+const runMaxLen = 2
+
+// lutEntry resolves one lutBits-wide bit window: it starts with k copies of
+// the zero code (the all-zero first code of the shortest length) and then
+// the code of sym, n bits in all. k is at most 7, so the k+1 symbols fit one
+// block store of eight. n == 0 means the table does not resolve the window:
+// its first code is longer than lutBits, or, when the shortest code is at
+// most runMaxLen bits, it starts with a run the decoder counts instead.
 type lutEntry struct {
-	sym uint32
-	n   uint8
+	sym  uint32
+	n, k uint8
 }
 
-// buildLUT fills the fast-path table: every code of length <= lutBits owns
-// the 2^(lutBits-len) windows it prefixes. Codes are prefix-free, so the
-// ranges never overlap; windows left zero fall through to DecodeOne.
+// buildLUT fills the fast-path table by parsing each window greedily: the
+// zero codes at its head, then the one code that completes within it. When
+// no code completes after the zero codes, the last zero code stands in as
+// sym.
 func (c *Codec) buildLUT() {
 	if len(c.symsByCode) == 0 {
 		return
 	}
-	lut := make([]lutEntry, 1<<lutBits)
-	maxL := c.maxLen
-	if maxL > lutBits {
-		maxL = lutBits
-	}
-	for l := uint(1); l <= maxL; l++ {
-		for k := 0; k < c.counts[l]; k++ {
-			codeVal := c.firstCode[l] + uint64(k)
-			sym := c.symsByCode[c.firstIdx[l]+k]
-			span := 1 << (lutBits - l)
-			base := int(codeVal) * span
-			for w := base; w < base+span; w++ {
-				lut[w] = lutEntry{sym: sym, n: uint8(l)}
-			}
+	lut := new([1 << lutBits]lutEntry)
+	lmin := c.minLen
+	for w := range lut {
+		x := uint64(w) << (64 - lutBits)
+		z := min(uint(bits.LeadingZeros64(x)), lutBits)
+		k := z / lmin
+		if lmin <= runMaxLen && (z == lutBits || k >= 8) {
+			continue // a run
+		}
+		p := k * lmin
+		if sym, l := c.codeFrom(x<<p, 1, lutBits-p); l > 0 {
+			lut[w] = lutEntry{sym: sym, n: uint8(p + l), k: uint8(k)}
+		} else if k > 0 {
+			lut[w] = lutEntry{sym: c.symsByCode[0], n: uint8(p), k: uint8(k - 1)}
 		}
 	}
 	c.lut = lut
+}
+
+// codeFrom resolves the code of length lo..hi at the head of the
+// left-aligned word x by the canonical walk. It returns the symbol and the
+// code length, or length 0 when no such code is a prefix of x.
+func (c *Codec) codeFrom(x uint64, lo, hi uint) (uint32, uint) {
+	for l := lo; l <= min(c.maxLen, hi); l++ {
+		if d := x>>(64-l) - c.firstCode[l]; d < uint64(c.counts[l]) {
+			return c.symsByCode[c.firstIdx[l]+int(d)], l
+		}
+	}
+	return 0, 0
 }
 
 // Build counts symbols and constructs their canonical length-limited
@@ -214,6 +236,7 @@ func fromLengths(syms []uint32, lens []uint8, enc *symhist.Hist) *Codec {
 		return c
 	}
 	maxL := uint(slices.Max(lens))
+	c.minLen = uint(slices.Min(lens))
 	c.maxLen = maxL
 	c.counts = make([]int, maxL+1)
 	for _, l := range lens {
@@ -321,62 +344,120 @@ func (c *Codec) Decode(n int, r *bitio.Reader) ([]uint32, error) {
 // DecodeSymbols fills dst with len(dst) symbols read from r. Beyond the LUT
 // itself (built once per codec), it allocates nothing, so parallel shard
 // decoders can decode straight into disjoint windows of one shared output
-// slice, and quantization bins decode where they lie. Symbols whose code
-// fits the LUT window resolve in one peek; longer codes — and windows
-// truncated by end of stream, where a LUT hit could be an artifact of zero
-// padding — fall back to the canonical walk, which keeps the exact error
-// behavior of DecodeOne.
+// slice, and quantization bins decode where they lie. Every symbol whose
+// code lies within one 56-bit window of the stream is resolved from that
+// window; only the end of the stream and codes longer than the window fall
+// back to DecodeOne, which keeps its exact error behavior. On error, the
+// symbols before the failing one are in dst, and the rest of dst may have
+// been overwritten.
 func DecodeSymbols[S symhist.Symbol](c *Codec, dst []S, r *bitio.Reader) error {
+	_, err := decodeSymbols(c, dst, r)
+	return err
+}
+
+// decodeSymbols is DecodeSymbols, also reporting how many symbols went
+// through DecodeOne. On a well-formed stream whose codes fit the window
+// that is none, so a count above zero marks a fast path that was missed.
+//
+// One 56-bit peek, left-aligned in x with zeros past its avail real bits,
+// is read until it no longer holds a whole code: a table load resolves up
+// to eight symbols of at most lutBits bits, a leading-zero count resolves a
+// longer run of a 1- or 2-bit zero code, and a code longer than lutBits is
+// found by walking its lengths over the same word. The bits read are then
+// retired with one Consume. Symbols are written in blocks of eight, so
+// past the last symbol decoded dst may hold copies of the zero code's.
+func decodeSymbols[S symhist.Symbol](c *Codec, dst []S, r *bitio.Reader) (slow int, err error) {
 	c.lutOnce.Do(c.buildLUT)
 	lut := c.lut
 	if lut == nil {
 		// Empty alphabet: DecodeOne supplies the canonical error.
-		for i := range dst {
-			s, err := c.DecodeOne(r)
-			if err != nil {
-				return err
-			}
-			dst[i] = S(s)
+		if len(dst) > 0 {
+			_, err = c.DecodeOne(r)
 		}
-		return nil
+		return min(len(dst), 1), err
 	}
-	// Batched window decode: peek up to 56 bits once, resolve as many
-	// symbols as fit from the local word, consume their total in one call.
-	// This amortizes the reader round-trip over several symbols — the LUT
-	// hit itself is a shift, a mask, and one table load.
 	const window = 56
+	lmin := c.minLen
+	run := lmin <= runMaxLen
+	multi := 2*lmin <= lutBits // whether an entry can hold zero codes
+	zero := S(c.symsByCode[0])
+	zeros := [8]S{zero, zero, zero, zero, zero, zero, zero, zero}
 	i := 0
 	for i < len(dst) {
 		v, avail := r.Peek(window)
-		used := uint(0)
-		for i < len(dst) && used+lutBits <= window {
-			e := lut[(v>>(window-lutBits-used))&(1<<lutBits-1)]
-			// avail < window near end of stream, where a hit may be an
-			// artifact of zero padding — only lengths covered by real
-			// bits count.
-			if e.n == 0 || used+uint(e.n) > avail {
-				break
+		x := v << (64 - window)
+		rem := avail // real bits left in x
+	symbols:
+		for i < len(dst) {
+			e := lut[x>>(64-lutBits)]
+			n := uint(e.n)
+			switch {
+			case n == 0:
+				if run {
+					// lmin is 1 or 2 here, so shifts by lmin-1 divide and
+					// multiply by it.
+					z := min(uint(bits.LeadingZeros64(x)), rem)
+					if k := min(int(z>>(lmin-1)), len(dst)-i); k > 0 {
+						if i+window <= len(dst) {
+							for j := 0; j < k; j += 8 {
+								*(*[8]S)(dst[i+j:]) = zeros
+							}
+						} else {
+							for j := range dst[i : i+k] {
+								dst[i+j] = zero
+							}
+						}
+						i += k
+						n = uint(k) << (lmin - 1)
+						break
+					}
+				}
+				var sym uint32
+				if sym, n = c.codeFrom(x, lutBits+1, rem); n == 0 {
+					break symbols
+				}
+				dst[i] = S(sym)
+				i++
+			case n > rem:
+				// Near the end of the stream a hit may be an artifact of
+				// the zero padding past avail.
+				break symbols
+			case multi && i+8 <= len(dst):
+				*(*[8]S)(dst[i:]) = zeros
+				dst[i+int(e.k)] = S(e.sym)
+				i += int(e.k) + 1
+			default:
+				// One symbol: the entry's first zero code, or its code when
+				// it has none.
+				if e.k == 0 {
+					dst[i] = S(e.sym)
+				} else {
+					dst[i] = zero
+					n = lmin
+				}
+				i++
 			}
-			dst[i] = S(e.sym)
-			used += uint(e.n)
-			i++
+			x <<= n
+			rem -= n
 		}
-		if used > 0 {
+		if used := avail - rem; used > 0 {
 			if err := r.Consume(used); err != nil {
-				return err
+				return slow, err
 			}
 			continue
 		}
-		// LUT miss (code longer than lutBits) or window too short: the
-		// canonical walk keeps the exact error behavior of DecodeOne.
+		// A fresh window resolved nothing: the stream ends within the next
+		// code, the code is longer than the window, or the bits are no
+		// code at all. The canonical walk tells these apart.
 		s, err := c.DecodeOne(r)
 		if err != nil {
-			return err
+			return slow, err
 		}
 		dst[i] = S(s)
 		i++
+		slow++
 	}
-	return nil
+	return slow, nil
 }
 
 // Alphabet returns the number of distinct symbols.
@@ -423,6 +504,11 @@ func ParseTable(src []byte) (*Codec, int, error) {
 	syms := make([]uint32, n)
 	lens := make([]uint8, n)
 	var cur uint32
+	// Kraft sum of the lengths so far, in units of 2^-MaxCodeLen. An
+	// over-subscribed table (sum above 1) is no prefix code: canonical
+	// assignment runs codes past their length's range, which no encoder
+	// writes and the decode table cannot index.
+	var kraft uint64
 	for i := uint64(0); i < n; i++ {
 		d, sz := uvarint(src[pos:])
 		if sz <= 0 || pos+sz >= len(src)+1 {
@@ -435,6 +521,9 @@ func ParseTable(src []byte) (*Codec, int, error) {
 		l := src[pos]
 		pos++
 		if l == 0 || l > MaxCodeLen {
+			return nil, 0, ErrCorrupt
+		}
+		if kraft += 1 << (MaxCodeLen - l); kraft > 1<<MaxCodeLen {
 			return nil, 0, ErrCorrupt
 		}
 		// Symbols are strictly increasing 32-bit values; anything else is

@@ -1,11 +1,14 @@
 package huffman
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"cliz/internal/bitio"
+	"cliz/internal/symhist"
 )
 
 // decodeTree is the reference decoder: the canonical bit-by-bit walk with
@@ -200,6 +203,119 @@ func TestDecodeIntoCorruptDifferential(t *testing.T) {
 	}
 }
 
+// fuzzCodec builds a codec from a valid length table drawn from b: each
+// byte gives one symbol a length, short (1–16 bits) for most byte values
+// and up to MaxCodeLen for the rest, lengthened where needed to keep the
+// Kraft sum at most 1. high puts the alphabet at the top of the uint32
+// range, where int32 destinations hold negative values. The table goes
+// through SerializeTable and ParseTable, as on decode.
+func fuzzCodec(t *testing.T, b []byte, high bool) *Codec {
+	const one = uint64(1) << MaxCodeLen // Kraft sum 1, in units of 2^-MaxCodeLen
+	var lens []uint8
+	left := one
+	for _, v := range b {
+		l := 1 + uint(v)%16
+		if v >= 200 {
+			l = 17 + uint(v)%(MaxCodeLen-16)
+		}
+		for l < MaxCodeLen && 1<<(MaxCodeLen-l) > left {
+			l++
+		}
+		if left == 0 || len(lens) == 300 {
+			break
+		}
+		lens = append(lens, uint8(l))
+		left -= 1 << (MaxCodeLen - l)
+	}
+	if len(lens) == 0 {
+		return nil
+	}
+	base := uint32(32768 - 150)
+	if high {
+		base = 0xffffff00 - 300
+	}
+	syms := make([]uint32, len(lens))
+	for i := range syms {
+		syms[i] = base + uint32(i)
+	}
+	c, _, err := ParseTable(fromLengths(syms, lens, nil).SerializeTable(nil))
+	if err != nil {
+		t.Fatalf("valid lengths %v rejected: %v", lens, err)
+	}
+	return c
+}
+
+// FuzzDecodeSymbols checks the window decode against a DecodeOne loop on
+// random valid codes and on random, truncated and padded bitstreams, into
+// int32 and uint32 destinations. The symbols decoded before any error and
+// the error itself must agree, and so must the bits consumed on success.
+func FuzzDecodeSymbols(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 2}, []byte{0x12, 0x34, 0x56, 0x00, 0xff}, uint16(9), uint8(0))
+	f.Add([]byte{0, 7, 8, 9, 10, 11, 12, 13, 14, 14}, bytes.Repeat([]byte{0, 0, 0, 0x81}, 40), uint16(3), uint8(2))
+	f.Add([]byte{1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12}, bytes.Repeat([]byte{0x10, 0x9f, 0xc3}, 30), uint16(5), uint8(3))
+	f.Add([]byte{0, 1, 255, 254, 253, 252, 251}, bytes.Repeat([]byte{0xff, 0x7f, 0}, 30), uint16(1), uint8(4))
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 9, 10, 11, 12, 13, 14, 15, 210, 230}, []byte("long codes past the table and the window"), uint16(2), uint8(5))
+	f.Fuzz(func(t *testing.T, lens, data []byte, count uint16, mode uint8) {
+		c := fuzzCodec(t, lens, mode&1 != 0)
+		if c == nil {
+			return
+		}
+		stream, n := data, int(count%2048)
+		if kind := mode >> 1 % 3; kind > 0 {
+			// A valid stream: bytes below 128 pick the zero code, so runs
+			// of it are common; the rest pick any symbol.
+			syms := make([]uint32, len(data))
+			for i, b := range data {
+				syms[i] = c.symsByCode[0]
+				if b >= 128 {
+					syms[i] = c.syms[int(b)%len(c.syms)]
+				}
+			}
+			w := bitio.NewWriter(0)
+			if err := c.Encode(syms, w); err != nil {
+				t.Fatal(err)
+			}
+			stream, n = w.Bytes(), len(syms)
+			if kind == 1 {
+				stream = stream[:len(stream)-int(count)%(len(stream)+1)] // truncated
+			} else {
+				stream = append(stream, data[:int(count)%(len(data)+1)]...) // padded
+				n += int(count) % 4
+			}
+		}
+		want := make([]uint32, n)
+		ref := bitio.NewReader(stream)
+		var m int
+		var werr error
+		for ; m < n; m++ {
+			if want[m], werr = c.DecodeOne(ref); werr != nil {
+				break
+			}
+		}
+		left := ref.BitsRemaining()
+		checkDecode(t, c, stream, make([]int32, n), want[:m], werr, left)
+		checkDecode(t, c, stream, make([]uint32, n), want[:m], werr, left)
+	})
+}
+
+// checkDecode decodes stream into dst and compares with a DecodeOne loop
+// that decoded want, then failed with werr or stopped with left bits unread.
+func checkDecode[S symhist.Symbol](t *testing.T, c *Codec, stream []byte, dst []S, want []uint32, werr error, left int) {
+	t.Helper()
+	r := bitio.NewReader(stream)
+	if _, err := decodeSymbols(c, dst, r); err != werr {
+		t.Fatalf("%T: error %v, DecodeOne loop %v after %d symbols", dst, err, werr, len(want))
+	}
+	for i, s := range want {
+		if uint32(dst[i]) != s {
+			t.Fatalf("%T: symbol %d: got %d, DecodeOne loop %d", dst, i, uint32(dst[i]), s)
+		}
+	}
+	if werr == nil && r.BitsRemaining() != left {
+		t.Fatalf("%T: %d bits left, DecodeOne loop %d", dst, r.BitsRemaining(), left)
+	}
+}
+
 // TestDecodeBlockUsesLUTConsistently covers the self-contained block API:
 // round-trip plus truncation must keep the classifiable-error contract now
 // that DecodeBlockMax decodes through the LUT path.
@@ -228,49 +344,136 @@ func TestDecodeBlockUsesLUTConsistently(t *testing.T) {
 	}
 }
 
-// benchStream models the production shape: a geometric-ish quantizer-bin
-// distribution with the codec built from the stream itself, as the encoder
-// does, so code lengths match the data.
-func benchStream(b *testing.B) (*Codec, []uint32, []byte) {
-	rng := rand.New(rand.NewSource(1))
-	syms := make([]uint32, 1<<16)
-	for i := range syms {
-		v := uint32(0)
-		for v < 255 && rng.Intn(3) > 0 {
-			v++
+// decodeShapes are bin distributions in the shape of the bench's archive
+// workloads at their bounds, by the code lengths they give: on cesm one
+// 1-bit code carries 99% of the bins; ssh's codes are 1–3 bits; hurricane's
+// are 8–18 bits, 4% of them longer than the LUT window.
+var decodeShapes = []struct {
+	name string
+	bin  func(rng *rand.Rand) uint32
+}{
+	{"cesm", func(rng *rand.Rand) uint32 {
+		if rng.Float64() < 0.99 {
+			return 32768
 		}
-		syms[i] = v
+		v := 1 + int(rng.ExpFloat64()*4)
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return uint32(32768 + v)
+	}},
+	{"ssh", func(rng *rand.Rand) uint32 {
+		switch u := rng.Float64(); {
+		case u < 0.5:
+			return 32768
+		case u < 0.7:
+			return 32767
+		case u < 0.9:
+			return 32769
+		}
+		return 32770
+	}},
+	{"hurricane", func(rng *rand.Rand) uint32 {
+		if rng.Float64() < 2e-4 {
+			return 0 // literal escape
+		}
+		return uint32(32768 + int(math.Round(rng.NormFloat64()*130)))
+	}},
+}
+
+// shapeStream draws n bins of one shape and encodes them with a codec built
+// from the bins themselves, as the encoder does.
+func shapeStream(tb testing.TB, seed int64, n int, bin func(*rand.Rand) uint32) (*Codec, []uint32, []byte) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	syms := make([]uint32, n)
+	for i := range syms {
+		syms[i] = bin(rng)
 	}
 	c := Build(syms)
 	w := bitio.NewWriter(0)
 	if err := c.Encode(syms, w); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c, syms, w.Bytes()
 }
 
-func BenchmarkDecodeIntoLUT(b *testing.B) {
-	c, syms, stream := benchStream(b)
-	dst := make([]uint32, len(syms))
-	b.SetBytes(int64(len(syms)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeSymbols(c, dst, bitio.NewReader(stream)); err != nil {
-			b.Fatal(err)
+// TestDecodeSymbolsSlowPath counts the symbols that leave the window decode
+// for DecodeOne on each decode shape. Only symbols whose code starts in the
+// stream's final 56 bits may: a lookup table that is skipped, a run path
+// that is skipped or codes longer than the table that are not read from the
+// window all send the bulk of a shape down the slow path and fail here.
+func TestDecodeSymbolsSlowPath(t *testing.T) {
+	for _, sh := range decodeShapes {
+		for seed, n := range []int{1, 57, 1000, 1 << 18} {
+			c, syms, stream := shapeStream(t, int64(seed+1), n, sh.bin)
+			// Symbols whose code ends in the stream's final 56 bits, which
+			// close with the zero padding of the last byte.
+			tail, bits := 0, 8*len(stream)-c.bitLen(syms)
+			for i := len(syms) - 1; i >= 0 && bits < 56; i-- {
+				bits += int(c.CodeLen(syms[i]))
+				tail++
+			}
+			got := make([]int32, n)
+			slow, err := decodeSymbols(c, got, bitio.NewReader(stream))
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", sh.name, n, err)
+			}
+			for i := range syms {
+				if uint32(got[i]) != syms[i] {
+					t.Fatalf("%s n=%d: symbol %d: got %d want %d", sh.name, n, i, got[i], syms[i])
+				}
+			}
+			if slow > tail {
+				t.Errorf("%s n=%d (code lengths %d–%d): %d symbols took DecodeOne, want at most the %d in the final window",
+					sh.name, n, c.minLen, c.maxLen, slow, tail)
+			}
 		}
 	}
 }
 
-func BenchmarkDecodeTree(b *testing.B) {
-	c, syms, stream := benchStream(b)
-	b.SetBytes(int64(len(syms)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := bitio.NewReader(stream)
-		for range syms {
-			if _, err := c.DecodeOne(r); err != nil {
-				b.Fatal(err)
+// bitLen returns the number of bits the codes of syms take.
+func (c *Codec) bitLen(syms []uint32) int {
+	n := 0
+	for _, s := range syms {
+		n += int(c.CodeLen(s))
+	}
+	return n
+}
+
+// BenchmarkDecodeIntoLUT decodes 2^18 bins of each decode shape, reporting
+// the time per symbol.
+func BenchmarkDecodeIntoLUT(b *testing.B) {
+	for _, sh := range decodeShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			c, syms, stream := shapeStream(b, 1, 1<<18, sh.bin)
+			dst := make([]uint32, len(syms))
+			b.SetBytes(int64(len(stream)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeSymbols(c, dst, bitio.NewReader(stream)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(syms)), "ns/symbol")
+		})
+	}
+}
+
+// BenchmarkDecodeTree is BenchmarkDecodeIntoLUT through the canonical
+// bit-by-bit walk alone.
+func BenchmarkDecodeTree(b *testing.B) {
+	for _, sh := range decodeShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			c, syms, stream := shapeStream(b, 1, 1<<18, sh.bin)
+			b.SetBytes(int64(len(stream)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeTree(c, len(syms), bitio.NewReader(stream)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(syms)), "ns/symbol")
+		})
 	}
 }

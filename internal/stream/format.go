@@ -272,20 +272,14 @@ func parseStreamHeader(src []byte) (streamHeader, int, error) {
 		return h, 0, fmt.Errorf("stream: invalid keyframe interval: %w", ErrCorrupt)
 	}
 	h.interval = int(iv)
-	if h.flags&flagStreamMask != 0 {
+	var maskSec []byte
+	masked := h.flags&flagStreamMask != 0
+	if masked {
 		ml, err := readUvarint(src, &pos)
 		if err != nil || ml > uint64(len(src)-pos) {
 			return h, 0, fmt.Errorf("stream: truncated mask section: %w", ErrCorrupt)
 		}
-		m, err := mask.Parse(src[pos : pos+int(ml)])
-		if err != nil {
-			return h, 0, corrupt(err)
-		}
-		if len(h.dims) < 2 || m.NLat != h.dims[len(h.dims)-2] || m.NLon != h.dims[len(h.dims)-1] {
-			return h, 0, fmt.Errorf("stream: mask %dx%d does not fit frame dims %v: %w",
-				m.NLat, m.NLon, h.dims, ErrCorrupt)
-		}
-		h.mask = m
+		maskSec = src[pos : pos+int(ml)]
 		pos += int(ml)
 	}
 	if len(src)-pos < 4 {
@@ -294,6 +288,18 @@ func parseStreamHeader(src []byte) (streamHeader, int, error) {
 	want := binary.LittleEndian.Uint32(src[pos:])
 	if got := crc32.Checksum(src[:pos], crcTable); got != want {
 		return h, 0, fmt.Errorf("stream: header: %w", ErrChecksum)
+	}
+	// The mask section is inflated only once the checksum vouches for it.
+	if masked {
+		m, err := mask.Parse(maskSec)
+		if err != nil {
+			return h, 0, corrupt(err)
+		}
+		if len(h.dims) < 2 || m.NLat != h.dims[len(h.dims)-2] || m.NLon != h.dims[len(h.dims)-1] {
+			return h, 0, fmt.Errorf("stream: mask %dx%d does not fit frame dims %v: %w",
+				m.NLat, m.NLon, h.dims, ErrCorrupt)
+		}
+		h.mask = m
 	}
 	pos += 4
 	return h, pos, nil

@@ -72,6 +72,28 @@ func fuzzMaskedSeedStream(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// staleCRCMaskStream is the masked seed stream with every byte of its
+// header's mask section inverted and the header checksum left as it was.
+func staleCRCMaskStream(tb testing.TB) []byte {
+	tb.Helper()
+	blob := fuzzMaskedSeedStream(tb)
+	regions := make([]int32, 48)
+	for i := range regions {
+		if i%5 != 0 {
+			regions[i] = 1
+		}
+	}
+	sec := mask.New(6, 8, regions).Serialize()
+	at := bytes.Index(blob, sec)
+	if at < 0 {
+		tb.Fatal("mask section not found in the masked seed stream")
+	}
+	for i := at; i < at+len(sec); i++ {
+		blob[i] ^= 0xff
+	}
+	return blob
+}
+
 // FuzzParse feeds arbitrary bytes to the stream parser and, when parsing
 // succeeds, decodes a bounded number of frames. The contract: no panics, no
 // unbounded allocations, and every rejection wraps core.ErrCorrupt.
@@ -79,6 +101,7 @@ func FuzzParse(f *testing.F) {
 	valid := fuzzSeedStream(f, 2)
 	f.Add(valid)
 	f.Add(fuzzMaskedSeedStream(f))
+	f.Add(staleCRCMaskStream(f))
 	// Truncations: inside the header, inside a record header, inside a payload.
 	for _, n := range []int{0, 3, 10, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:n])

@@ -180,6 +180,17 @@ func TestMaskedStream(t *testing.T) {
 	}
 }
 
+// TestHeaderChecksumBeforeMask damages a header's mask section and leaves
+// the header checksum stale. The parser must reject it on the checksum,
+// before it inflates the mask; it used to parse the mask first and fail
+// there, inflating bytes nothing had verified.
+func TestHeaderChecksumBeforeMask(t *testing.T) {
+	_, err := Parse(staleCRCMaskStream(t), core.DecompressOptions{})
+	if !errors.Is(err, ErrChecksum) {
+		t.Fatalf("damaged mask section with a stale checksum: error %v, want ErrChecksum", err)
+	}
+}
+
 func TestNonFiniteLiteralsSurvive(t *testing.T) {
 	frames := makeFrames(6, 12, 12, 4, 0.9, 0.2)
 	frames[3][17] = float32(math.NaN())
