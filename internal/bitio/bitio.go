@@ -89,6 +89,23 @@ func (w *Writer) spill() {
 	w.cur, w.nbit = 0, 0
 }
 
+// Words hands the writer's state to a caller that packs whole 64-bit words
+// itself: the bytes written so far and the pending bits, which are the low
+// nbit (< 64) bits of cur. The caller appends each full word to buf
+// big-endian, as the writer would, and hands the state back with SetWords.
+func (w *Writer) Words() (buf []byte, cur uint64, nbit uint) {
+	return w.buf, w.cur, w.nbit
+}
+
+// SetWords replaces the writer's state with buf and the low nbit bits of
+// cur, as Words returns them. nbit must be below 64.
+func (w *Writer) SetWords(buf []byte, cur uint64, nbit uint) {
+	if nbit >= 64 {
+		panic(fmt.Sprintf("bitio: SetWords nbit=%d out of range", nbit))
+	}
+	w.buf, w.cur, w.nbit = buf, cur&(1<<nbit-1), nbit
+}
+
 // BitLen reports the total number of bits written so far.
 func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nbit) }
 

@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -355,4 +356,42 @@ func TestPeekWindowsToEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWordsHandoff packs whole words outside the writer between WriteBits
+// calls and checks the stream against WriteBits alone.
+func TestWordsHandoff(t *testing.T) {
+	for pre := uint(0); pre < 64; pre += 7 {
+		ref := NewWriter(0)
+		ref.WriteBits(0x123456789abcdef, pre)
+		w := NewWriter(0)
+		w.WriteBits(0x123456789abcdef, pre)
+
+		// The caller's accumulator holds pre bits; add 64 bits of v, store
+		// the full word big-endian, keep the rest pending.
+		const v uint64 = 0xfedcba9876543210
+		ref.WriteBits(v, 64)
+		buf, cur, n := w.Words()
+		if n != pre {
+			t.Fatalf("pre=%d: Words reports %d pending bits", pre, n)
+		}
+		word := v >> pre
+		if pre > 0 {
+			word |= cur << (64 - pre)
+		}
+		buf = append(buf, byte(word>>56), byte(word>>48), byte(word>>40), byte(word>>32),
+			byte(word>>24), byte(word>>16), byte(word>>8), byte(word))
+		w.SetWords(buf, v, n) // the low n bits of v are pending; the rest are ignored
+		ref.WriteBits(5, 3)
+		w.WriteBits(5, 3)
+		if got, want := w.Bytes(), ref.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("pre=%d: %x, WriteBits alone %x", pre, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetWords accepted 64 pending bits")
+		}
+	}()
+	NewWriter(0).SetWords(nil, 0, 64)
 }

@@ -83,28 +83,15 @@ func (k Kind) String() string {
 func EncodeBlock[S symhist.Symbol](kind Kind, symbols []S) []byte {
 	switch kind {
 	case RANS:
-		if body, ok := rans.EncodeBlock(uint32s(symbols)); ok {
+		if body, ok := rans.EncodeBlock(symbols); ok {
 			return append([]byte{byte(RANS)}, body...)
 		}
 	case RANSInterleaved:
-		if body, ok := rans.EncodeInterleavedBlock(uint32s(symbols), rans.DefaultWays); ok {
+		if body, ok := rans.EncodeInterleavedBlock(symbols, rans.DefaultWays); ok {
 			return append([]byte{byte(RANSInterleaved)}, body...)
 		}
 	}
 	return huffman.AppendBlock([]byte{byte(Huffman)}, symbols)
-}
-
-// uint32s returns symbols as a []uint32 for the rANS coders: the slice
-// itself when it is one, a converted copy otherwise.
-func uint32s[S symhist.Symbol](symbols []S) []uint32 {
-	if u, ok := any(symbols).([]uint32); ok {
-		return u
-	}
-	out := make([]uint32, len(symbols))
-	for i, s := range symbols {
-		out[i] = uint32(s)
-	}
-	return out
 }
 
 // DecodeBlock reverses EncodeBlock (and decodes sharded blocks serially; use

@@ -1,6 +1,10 @@
 package rans
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"cliz/internal/symhist"
+)
 
 // N-way interleaved rANS: W independent coder states, symbol i coded by
 // state i mod W, so the decoder's per-symbol dependency chain spreads
@@ -33,7 +37,7 @@ const maxWays = 32
 // Each way's stream is byte-reversed so decoding is a forward scan. It
 // returns ok=false when the alphabet exceeds MaxAlphabet (callers fall
 // back to Huffman). ways is clamped to [1, maxWays].
-func EncodeInterleavedBlock(symbols []uint32, ways int) ([]byte, bool) {
+func EncodeInterleavedBlock[S symhist.Symbol](symbols []S, ways int) ([]byte, bool) {
 	if ways < 1 {
 		ways = 1
 	}
@@ -65,10 +69,10 @@ func EncodeInterleavedBlock(symbols []uint32, ways int) ([]byte, bool) {
 	for i := len(symbols) - 1; i >= 0; i-- {
 		x := states[w]
 		var idx uint64
-		if j := symbols[i] - lo; uint(j) < uint(len(tab)) {
+		if j := uint32(symbols[i]) - lo; uint(j) < uint(len(tab)) {
 			idx = tab[j] - 1
 		} else {
-			idx = h.Get(symbols[i]) - 1
+			idx = h.Get(uint32(symbols[i])) - 1
 		}
 		f := t.freq[idx]
 		xmax := ((ransL >> scaleBits) << 8) * f

@@ -38,7 +38,7 @@ type freqTable struct {
 // countTable counts symbols and scales their table. The returned histogram
 // maps each symbol to its table index + 1 for the encode loop; release it
 // when done. ok is false for an empty or oversized alphabet.
-func countTable(symbols []uint32) (t *freqTable, h *symhist.Hist, ok bool) {
+func countTable[S symhist.Symbol](symbols []S) (t *freqTable, h *symhist.Hist, ok bool) {
 	h = symhist.Count(symbols)
 	t, ok = buildTable(h.Syms, h.Freqs)
 	if !ok {
@@ -202,7 +202,7 @@ func parseTable(src []byte, pos *int) (*freqTable, error) {
 // table | varint count | varint stream length | rANS stream.
 // It returns ok=false when the alphabet exceeds MaxAlphabet (callers fall
 // back to Huffman).
-func EncodeBlock(symbols []uint32) ([]byte, bool) {
+func EncodeBlock[S symhist.Symbol](symbols []S) ([]byte, bool) {
 	if len(symbols) == 0 {
 		out := appendUvarint(nil, 0) // empty table sentinel handled on decode
 		out = appendUvarint(out, 0)
@@ -221,10 +221,10 @@ func EncodeBlock(symbols []uint32) ([]byte, bool) {
 	x := uint32(ransL)
 	for i := len(symbols) - 1; i >= 0; i-- {
 		var idx uint64
-		if j := symbols[i] - lo; uint(j) < uint(len(tab)) {
+		if j := uint32(symbols[i]) - lo; uint(j) < uint(len(tab)) {
 			idx = tab[j] - 1
 		} else {
-			idx = h.Get(symbols[i]) - 1
+			idx = h.Get(uint32(symbols[i])) - 1
 		}
 		f := t.freq[idx]
 		// Renormalize: keep x < (L>>scaleBits)<<8 * f after encoding.

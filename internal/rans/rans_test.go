@@ -29,7 +29,7 @@ func TestRoundTripSimple(t *testing.T) {
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	blob, ok := EncodeBlock(nil)
+	blob, ok := EncodeBlock[uint32](nil)
 	if !ok {
 		t.Fatal("empty refused")
 	}
